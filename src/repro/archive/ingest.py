@@ -133,6 +133,11 @@ class ArchiveWriter:
         self._base_hash = archive.catalog_hash()
         self._index_changes: list[tuple] = []
         self._index_rebuild_needed = False
+        # Fingerprints this session has already put: a root shared by
+        # hundreds of snapshots costs one put (hash + stat), not one per
+        # snapshot.  Safe because the writer lock keeps ``archive gc``
+        # from deleting an object put here before commit references it.
+        self._known_objects: set[str] = set()
 
     # -- crash-consistency plumbing --------------------------------------
 
@@ -203,11 +208,18 @@ class ArchiveWriter:
 
         self._journal_snapshot(manifest)
         written = deduplicated = 0
+        known = self._known_objects
         for entry in snapshot.entries:
-            if self.archive.objects.put(entry.certificate.der).created:
+            certificate = entry.certificate
+            fingerprint = certificate.fingerprint_sha256
+            if fingerprint in known:
+                deduplicated += 1
+                continue
+            if self.archive.objects.put(certificate.der).created:
                 written += 1
             else:
                 deduplicated += 1
+            known.add(fingerprint)
         report.objects_written += written
         report.objects_deduplicated += deduplicated
         if written:

@@ -24,6 +24,7 @@ and the idempotence tests compare it across re-ingests.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -83,6 +84,33 @@ class ManifestEntry:
 
     def is_trusted_for(self, purpose: TrustPurpose) -> bool:
         return self.level_for(purpose) is TrustLevel.TRUSTED
+
+
+#: How a manifest's canonical JSON opens when it has no entries.
+_EMPTY_ENTRIES = '{\n "entries": []'
+
+
+@functools.lru_cache(maxsize=4096)
+def _entry_fragment(entry: ManifestEntry) -> str:
+    """One entry's canonical JSON, indented as an item of ``"entries"``.
+
+    ``json.dumps(..., indent=1)`` of a value nested two levels deep is
+    its standalone dump with every line indented by two more spaces
+    (JSON strings never contain a raw newline), so fragments can be
+    encoded once per distinct entry and reused by every manifest.  The
+    default corpus has under 500 distinct entries; the bound caps memory
+    on larger populations.
+    """
+    text = json.dumps(
+        {
+            "distrust_after": entry.distrust_after,
+            "fingerprint": entry.fingerprint,
+            "trust": [[p, lv] for p, lv in entry.trust],
+        },
+        sort_keys=True,
+        indent=1,
+    )
+    return "  " + text.replace("\n", "\n  ")
 
 
 @dataclass(frozen=True)
@@ -148,11 +176,32 @@ class SnapshotManifest:
             raise ArchiveError(f"malformed manifest payload: {exc}") from exc
 
     def serialize(self) -> bytes:
+        """``json.dumps(to_payload(), sort_keys=True, indent=1) + "\\n"``, in ASCII.
+
+        Assembled from cached per-entry fragments (see
+        :func:`_entry_fragment`) around a dump of the small header, so a
+        root that recurs across hundreds of snapshots is encoded once.
+        """
         serialized = self._serialized
         if serialized is None:
-            serialized = (
-                json.dumps(self.to_payload(), sort_keys=True, indent=1) + "\n"
-            ).encode("ascii")
+            text = json.dumps(
+                {
+                    "entries": [],
+                    "provider": self.provider,
+                    "schema": MANIFEST_SCHEMA,
+                    "taken_at": self.taken_at.isoformat(),
+                    "version": self.version,
+                },
+                sort_keys=True,
+                indent=1,
+            )
+            if self.entries:
+                # "entries" sorts first, so the header opens with its
+                # empty list; splice the fragments in there.
+                assert text.startswith(_EMPTY_ENTRIES)
+                fragments = ",\n".join(map(_entry_fragment, self.entries))
+                text = '{\n "entries": [\n' + fragments + "\n ]" + text[len(_EMPTY_ENTRIES) :]
+            serialized = (text + "\n").encode("ascii")
             object.__setattr__(self, "_serialized", serialized)
         return serialized
 

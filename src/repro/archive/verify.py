@@ -7,7 +7,8 @@ describing the snapshot the catalog claims), and both directions of
 dangling references are reported — objects/manifests on disk that
 nothing references (*orphans*, from superseded ingests) and references
 whose target is missing.  ``archive gc`` deletes exactly the orphans
-``verify`` reports; nothing reachable from the catalog is ever touched.
+``verify`` reports; nothing reachable from the catalog is ever touched,
+and a deleting ``gc`` holds the writer lock so it never races an ingest.
 
 Both passes also sweep for stale ``*.tmp`` files — the debris a writer
 killed between its temp write and its ``os.replace`` leaves behind.
@@ -19,9 +20,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 from repro.archive.io import remove_all, stray_tmp_files
+from repro.archive.lock import WriterLock
 from repro.archive.manifest import Archive
+from repro.collection.retry import RetryPolicy
 from repro.errors import ArchiveCorruptionError, ArchiveError
 
 
@@ -182,15 +186,30 @@ class GCResult:
         )
 
 
-def gc_archive(archive: Archive, *, dry_run: bool = False) -> GCResult:
-    """Delete orphan objects, manifests, and stale temp files."""
-    report = verify_archive(archive)
-    if not dry_run:
-        for fingerprint in report.orphan_objects:
-            archive.objects.remove(fingerprint)
-        for provider, manifest_id in report.orphan_manifests:
-            archive.manifest_path(provider, manifest_id).unlink(missing_ok=True)
-        remove_all(Path(path) for path in report.stale_tmp)
+def gc_archive(
+    archive: Archive,
+    *,
+    dry_run: bool = False,
+    lock_policy: RetryPolicy | None = None,
+    lock_sleep: Callable[[float], None] | None = None,
+) -> GCResult:
+    """Delete orphan objects, manifests, and stale temp files.
+
+    A deleting pass holds the writer lock from the orphan scan to the
+    last unlink: objects an open ingest has put are orphans until its
+    commit, so a ``gc`` beside a live writer raises
+    :class:`~repro.errors.ArchiveLockError` and deletes nothing.
+    """
+    if dry_run:
+        report = verify_archive(archive)
+    else:
+        with WriterLock(archive.root, owner="gc", policy=lock_policy, sleep=lock_sleep):
+            report = verify_archive(archive)
+            for fingerprint in report.orphan_objects:
+                archive.objects.remove(fingerprint)
+            for provider, manifest_id in report.orphan_manifests:
+                archive.manifest_path(provider, manifest_id).unlink(missing_ok=True)
+            remove_all(Path(path) for path in report.stale_tmp)
     return GCResult(
         objects_removed=len(report.orphan_objects),
         manifests_removed=len(report.orphan_manifests),

@@ -18,7 +18,9 @@ and the trust constant vocabulary.  Output parses back byte-identically
 
 from __future__ import annotations
 
+import codecs
 import hashlib
+import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
@@ -67,19 +69,52 @@ def _octal_multiline(data: bytes, per_line: int = 16) -> str:
     return "\n".join(lines)
 
 
+#: One octal escape as ``_parse_octal`` accepts it: 1-3 octal digits.
+_OCTAL_ESCAPE = re.compile(r"[0-7]{1,3}")
+#: Characters allowed in each column (offset mod 4) of a canonical blob.
+_CANONICAL_COLUMNS = (b"\\", b"0123", b"01234567", b"01234567")
+
+
 def _parse_octal(lines: list[str]) -> bytes:
-    """Parse backslash-octal lines back into bytes."""
+    r"""Parse backslash-octal lines back into bytes.
+
+    Each line, stripped, must be a run of escapes of 1-3 octal digits
+    with a value of at most 0o377.  Anything else -- text outside an
+    escape, an empty escape, or forms ``int(..., 8)`` would accept such
+    as ``\0o17``, ``\1_0``, ``\ 17`` or ``\0012`` -- is a
+    :class:`FormatError`.
+    """
     out = bytearray()
     for line in lines:
-        parts = line.strip().split("\\")
-        for part in parts:
-            if not part:
-                continue
-            try:
-                out.append(int(part, 8))
-            except ValueError as exc:
-                raise FormatError(f"bad octal escape {part!r} in certdata") from exc
+        head, *escapes = line.strip().split("\\")
+        if head:
+            raise FormatError(f"bad octal escape {head!r} in certdata")
+        for part in escapes:
+            value = int(part, 8) if _OCTAL_ESCAPE.fullmatch(part) else None
+            if value is None or value > 0o377:
+                raise FormatError(f"bad octal escape {part!r} in certdata")
+            out.append(value)
     return bytes(out)
+
+
+def _decode_canonical(lines: list[str]) -> bytes | None:
+    r"""Decode a blob in C when it is canonical, else return None.
+
+    Canonical is what :func:`_octal_multiline` writes: every line
+    matches ``(?:\\[0-3][0-7]{2})*``, 3-digit escapes with no whitespace.
+    Such a line is whole 4-character escapes, so the check runs per
+    column of the joined bytes instead of through a regex, which takes
+    about four times as long.  Checking line lengths keeps line
+    boundaries between escapes: ``\10`` then ``1\102`` is not canonical.
+    """
+    joined = "".join(lines)
+    if not joined.isascii() or any(len(line) % 4 for line in lines):
+        return None
+    raw = joined.encode("ascii")
+    for column, allowed in enumerate(_CANONICAL_COLUMNS):
+        if raw[column::4].translate(None, allowed):
+            return None
+    return codecs.escape_decode(raw)[0]
 
 
 def _distrust_timestamp(moment: datetime) -> bytes:
@@ -197,6 +232,7 @@ def _parse_objects(
     lines = text.splitlines()
     index = 0
     began = False
+    exact_ends = True
     while index < len(lines):
         line = lines[index].rstrip()
         index += 1
@@ -221,17 +257,34 @@ def _parse_objects(
         if current is None:
             current = _RawObject()
         if attr_type == "MULTILINE_OCTAL":
-            blob_lines: list[str] = []
-            while index < len(lines) and lines[index].strip() != "END":
-                blob_lines.append(lines[index])
-                index += 1
-            if index >= len(lines):
+            # Fast path: the blob runs to the next exact END and every
+            # line before it is canonical, so it decodes in C.  Any other
+            # line (whitespace, short or bad escapes, a padded " END ")
+            # sends the blob down the per-line path, which decides where
+            # it ends and what it decodes to.
+            end = len(lines)
+            if exact_ends:
+                try:
+                    end = lines.index("END", index)
+                except ValueError:
+                    exact_ends = False  # none left for any later blob either
+            if end < len(lines):
+                blob = _decode_canonical(lines[index:end])
+                if blob is not None:
+                    index = end + 1  # consume END
+                    current.attributes[attr] = ("MULTILINE_OCTAL", blob)
+                    continue
+            end = index
+            while end < len(lines) and lines[end].strip() != "END":
+                end += 1
+            if end >= len(lines):
                 if not lenient:
                     raise FormatError(f"unterminated MULTILINE_OCTAL for {attr}")
                 if log is not None:
                     log.record(f"certdata {attr}", f"unterminated MULTILINE_OCTAL for {attr}")
                 break
-            index += 1  # consume END
+            blob_lines = lines[index:end]
+            index = end + 1  # consume END
             try:
                 current.attributes[attr] = ("MULTILINE_OCTAL", _parse_octal(blob_lines))
             except FormatError as exc:

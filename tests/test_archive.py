@@ -10,6 +10,7 @@ it fail loudly instead of returning plausible garbage.
 
 from __future__ import annotations
 
+import json
 import shutil
 from datetime import date
 
@@ -20,6 +21,7 @@ from repro.archive import (
     ArchiveQuery,
     ContentStore,
     SnapshotManifest,
+    content_address,
     gc_archive,
     ingest_dataset,
     ingest_history,
@@ -29,6 +31,7 @@ from repro.archive import (
 from repro.archive.index import ArchiveIndex, TimelineEntry
 from repro.archive.query import _LRUCache
 from repro.errors import ArchiveCorruptionError, ArchiveError, ArchiveStaleError
+from repro.obs import telemetry_session
 from repro.store.purposes import TrustPurpose
 
 
@@ -119,6 +122,31 @@ class TestIngest:
         assert full.snapshots_unchanged == len(dataset[first_provider])
         assert full.snapshots_added == dataset.total_snapshots() - len(dataset[first_provider])
 
+    def test_one_put_per_unique_object(self, dataset, tmp_path, monkeypatch):
+        """The writer remembers what it put: 280 puts for the corpus's
+        54k entry occurrences, with the dedup counters unchanged."""
+        puts: list[bytes] = []
+        real_put = ContentStore.put
+
+        def counting_put(store, data):
+            puts.append(data)
+            return real_put(store, data)
+
+        monkeypatch.setattr(ContentStore, "put", counting_put)
+        entries = [e for p in dataset.providers for s in dataset[p] for e in s]
+        unique = {e.fingerprint for e in entries}
+        with telemetry_session() as telemetry:
+            report = ingest_dataset(Archive(tmp_path / "puts", create=True), dataset)
+        objects = telemetry.registry.get("repro_archive_objects_total")
+        assert len(unique) == 280
+        assert sorted(content_address(der) for der in puts) == sorted(unique)
+        assert report.objects_written == objects.labels(outcome="written").value == 280
+        assert (
+            report.objects_deduplicated
+            == objects.labels(outcome="deduplicated").value
+            == len(entries) - 280
+        )
+
     def test_objects_deduplicate_across_providers(self, dataset, archive_dir):
         archive = Archive(archive_dir)
         unique = {
@@ -140,6 +168,14 @@ class TestManifest:
         assert restored.manifest_id == manifest.manifest_id
         assert restored.fingerprints() == snapshot.fingerprints()
         assert restored.fingerprints(TrustPurpose.SERVER_AUTH) == snapshot.tls_fingerprints()
+
+    def test_serialize_is_canonical_json_for_every_corpus_manifest(self, dataset):
+        """The fragment-assembled bytes equal a whole-payload json.dumps."""
+        for provider in dataset.providers:
+            for snapshot in dataset[provider]:
+                manifest = SnapshotManifest.from_snapshot(snapshot)
+                expected = json.dumps(manifest.to_payload(), sort_keys=True, indent=1) + "\n"
+                assert manifest.serialize() == expected.encode("ascii")
 
     def test_manifest_id_is_content_address(self, dataset):
         a = SnapshotManifest.from_snapshot(dataset["nss"].latest())

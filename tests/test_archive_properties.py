@@ -10,6 +10,9 @@ sub-corpora drawn from the session dataset:
   already holds writes zero objects, zero manifests, and leaves the
   catalog hash unchanged.
 
+A third, over synthetic manifests: the fragment-assembled manifest
+encoding is byte-identical to a whole-payload ``json.dumps``.
+
 The examples draw from the real corpus rather than synthesizing
 certificates, so the properties are exercised against the same trust
 shapes (partial distrust, purpose splits, removals) the analyses see.
@@ -17,14 +20,17 @@ shapes (partial distrust, purpose splits, removals) the analyses see.
 
 from __future__ import annotations
 
+import json
 import tempfile
+from datetime import datetime, timezone
 from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.archive import Archive, ArchiveQuery, ingest_dataset
+from repro.archive import Archive, ArchiveQuery, ManifestEntry, SnapshotManifest, ingest_dataset
 from repro.store.history import Dataset, StoreHistory
+from repro.store.purposes import TrustLevel, TrustPurpose
 
 # Archive round-trips hit the disk per example: keep the example count
 # small and the deadline off so tier-1 stays fast and unflaky.
@@ -100,3 +106,35 @@ def test_double_ingest_writes_nothing(dataset, picks):
         assert again.manifests_written == 0
         assert again.snapshots_unchanged == sub.total_snapshots()
         assert archive.catalog_hash() == hash_before
+
+
+_manifest_entries = st.builds(
+    ManifestEntry,
+    fingerprint=st.text(alphabet="0123456789abcdef", min_size=64, max_size=64),
+    trust=st.lists(
+        st.tuples(
+            st.sampled_from([p.value for p in TrustPurpose]),
+            st.sampled_from([lv.value for lv in TrustLevel]),
+        ),
+        max_size=4,
+    ).map(tuple),
+    distrust_after=st.one_of(
+        st.none(), st.datetimes(timezones=st.just(timezone.utc)).map(datetime.isoformat)
+    ),
+)
+
+
+@given(
+    provider=st.text(min_size=1, max_size=12),
+    version=st.text(max_size=16),  # non-ASCII included: \u escapes
+    taken_at=st.dates(),
+    entries=st.lists(_manifest_entries, max_size=6).map(tuple),
+)
+@settings(max_examples=200, deadline=None)
+def test_manifest_serialize_is_canonical_json(provider, version, taken_at, entries):
+    """Fragment-assembled manifests equal a whole-payload ``json.dumps``:
+    empty entries, empty trust, distrust dates, any ``version`` text."""
+    manifest = SnapshotManifest(provider, version, taken_at, entries)
+    expected = json.dumps(manifest.to_payload(), sort_keys=True, indent=1) + "\n"
+    assert manifest.serialize() == expected.encode("ascii")
+    assert SnapshotManifest.from_payload(json.loads(manifest.serialize())) == manifest

@@ -544,6 +544,28 @@ class TestTmpSweep:
         assert stray_tmp_files(archive.root) == []
 
 
+class TestGCLock:
+    def test_gc_beside_open_writer_raises_and_deletes_nothing(self, tmp_path, tiny_dataset):
+        """Objects an open ingest has put are orphans until its commit;
+        a deleting gc must not take them out from under the writer."""
+        archive = Archive(tmp_path / "arch", create=True)
+        writer = ArchiveWriter(archive)
+        for snapshot in tiny_dataset["alpha"]:
+            writer.add_snapshot(snapshot)
+        before = sorted(archive.objects.fingerprints())
+        assert before and verify_archive(archive).orphan_objects == before
+
+        with pytest.raises(ArchiveLockError, match="could not acquire"):
+            gc_archive(archive, lock_policy=FAST_POLICY, lock_sleep=lambda _: None)
+        assert sorted(archive.objects.fingerprints()) == before
+        assert gc_archive(archive, dry_run=True).objects_removed == len(before)
+
+        writer.commit()
+        assert verify_archive(archive).ok
+        assert gc_archive(archive).objects_removed == 0
+        assert read_lock(archive.root) is None  # gc released its lock
+
+
 class TestRepairCLI:
     def test_repair_heals_a_crashed_archive(self, tmp_path, tiny_dataset, capsys):
         root = tmp_path / "arch"

@@ -2,7 +2,9 @@
 
 Random trust configurations over a fixed certificate pool must survive
 round trips through every format that can express them; formats that
-cannot (bundles) must flatten deterministically.
+cannot (bundles) must flatten deterministically.  The certdata
+tokenizer must agree with its per-line reference on any document,
+damaged or not.
 """
 
 from datetime import datetime, timezone
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import FormatError
 from repro.formats import (
     parse_authroot,
     parse_certdata,
@@ -21,6 +24,8 @@ from repro.formats import (
     serialize_jks,
     serialize_pem_bundle,
 )
+from repro.formats.certdata import _octal_multiline, _parse_objects, _parse_octal, _RawObject
+from repro.formats.diagnostics import DiagnosticLog
 from repro.store import TrustEntry, TrustLevel, TrustPurpose
 
 # Purposes the wire formats can express.
@@ -125,3 +130,173 @@ class TestBundleFuzz:
         noisy = "\n".join(noise_lines) + "\n" + bundle + "\n".join(noise_lines)
         parsed = parse_pem_bundle(noisy)
         assert {e.certificate for e in parsed} == set(cert_pool)
+
+
+def _reference_parse_objects(text, *, lenient=False, log=None):
+    """The per-line certdata tokenizer: the oracle for ``_parse_objects``.
+
+    Every blob line goes through :func:`_parse_octal` and the blob ends
+    at the first line that strips to ``END``.  ``_parse_objects`` must
+    agree with it on objects, errors and diagnostics for any input.
+    """
+    objects = []
+    current = None
+    lines = text.splitlines()
+    index = 0
+    began = False
+    while index < len(lines):
+        line = lines[index].rstrip()
+        index += 1
+        if not line or line.startswith("#"):
+            if not line and current is not None and current.attributes:
+                objects.append(current)
+                current = None
+            continue
+        if line == "BEGINDATA":
+            began = True
+            continue
+        if not began:
+            continue
+        parts = line.split(None, 2)
+        if len(parts) < 2:
+            if not lenient:
+                raise FormatError(f"malformed certdata line: {line!r}")
+            if log is not None:
+                log.record(f"certdata line {index}", f"malformed certdata line: {line!r}")
+            continue
+        attr, attr_type = parts[0], parts[1]
+        if current is None:
+            current = _RawObject()
+        if attr_type == "MULTILINE_OCTAL":
+            blob_lines = []
+            while index < len(lines) and lines[index].strip() != "END":
+                blob_lines.append(lines[index])
+                index += 1
+            if index >= len(lines):
+                if not lenient:
+                    raise FormatError(f"unterminated MULTILINE_OCTAL for {attr}")
+                if log is not None:
+                    log.record(f"certdata {attr}", f"unterminated MULTILINE_OCTAL for {attr}")
+                break
+            index += 1
+            try:
+                current.attributes[attr] = ("MULTILINE_OCTAL", _parse_octal(blob_lines))
+            except FormatError as exc:
+                if not lenient:
+                    raise
+                if log is not None:
+                    log.record(f"certdata {attr}", exc)
+        elif attr_type == "UTF8":
+            value = parts[2] if len(parts) > 2 else '""'
+            current.attributes[attr] = ("UTF8", value.strip('"'))
+        else:
+            value = parts[2] if len(parts) > 2 else ""
+            current.attributes[attr] = (attr_type, value)
+    if current is not None and current.attributes:
+        objects.append(current)
+    return objects
+
+
+#: Escapes ``int(..., 8)`` accepts but the certdata grammar does not,
+#: plus plain garbage.
+_BAD_ESCAPES = (
+    "\\0o17", "\\1_0", "\\ 17", "\\0012", "\\400", "\\9", "\\", "x\\101", "\\+7", "\\12\\"
+)
+
+
+#: How ``_blob_lines`` may damage a blob ("none" twice: half stay canonical).
+_BLOB_DAMAGE = (
+    "none",
+    "none",
+    "stray_end",
+    "bad_escape",
+    "whitespace",
+    "short_escape",
+    "split",
+    "noise",
+    "truncate",
+)
+
+
+@st.composite
+def _blob_lines(draw):
+    """One MULTILINE_OCTAL blob's lines, canonical or damaged."""
+    data = draw(st.binary(max_size=80))
+    per_line = draw(st.integers(min_value=1, max_value=24))
+    lines = _octal_multiline(data, per_line=per_line).split("\n") if data else []
+    damage = draw(st.sampled_from(_BLOB_DAMAGE))
+    at = draw(st.integers(min_value=0, max_value=len(lines)))
+    if damage == "stray_end":
+        lines.insert(at, draw(st.sampled_from(("END ", " END", "\tEND\t", "END  "))))
+    elif damage == "bad_escape":
+        lines.insert(at, draw(st.sampled_from(_BAD_ESCAPES)))
+    elif damage == "noise":
+        lines.insert(at, draw(st.text(alphabet="\\0123789 \tEND", max_size=12)))
+    elif damage in ("whitespace", "split") and lines:
+        at = min(at, len(lines) - 1)
+        cut = draw(st.integers(min_value=0, max_value=len(lines[at])))
+        head, tail = lines[at][:cut], lines[at][cut:]
+        if damage == "whitespace":
+            lines[at] = head + draw(st.sampled_from((" ", "\t", "  "))) + tail
+        else:
+            # A line break inside an escape: "\\10" + "1\\102" is not "\\101\\102".
+            lines[at : at + 1] = [head, tail]
+    elif damage == "short_escape":
+        # \012 -> \12: valid, but not what the writer emits.
+        lines = [line.replace("\\0", "\\", 1) for line in lines]
+    end = [] if damage == "truncate" else [draw(st.sampled_from(("END", "END", " END ")))]
+    return lines + end
+
+
+@st.composite
+def _certdata_documents(draw):
+    """A certdata document of random objects, blobs and stray lines."""
+    out = ["# header", "BEGINDATA"]
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        out.append("CKA_CLASS CK_OBJECT_CLASS CKO_CERTIFICATE")
+        for number in range(draw(st.integers(min_value=0, max_value=3))):
+            kind = draw(st.sampled_from(("blob", "blob", "utf8", "malformed")))
+            if kind == "blob":
+                out.append(f"CKA_BLOB{number} MULTILINE_OCTAL")
+                out.extend(draw(_blob_lines()))
+            elif kind == "utf8":
+                out.append(f'CKA_LABEL UTF8 "label {number}"')
+            else:
+                out.append("CKA_ALONE")
+        out.append("")
+    return "\n".join(out) + draw(st.sampled_from(("\n", "", "\r\n")))
+
+
+def _tokenize(parse, text, lenient):
+    """(objects, error, diagnostics) of one tokenizer run."""
+    log = DiagnosticLog()
+    try:
+        objects = parse(text, lenient=lenient, log=log)
+    except FormatError as exc:
+        return None, str(exc), log.as_dicts()
+    return [obj.attributes for obj in objects], None, log.as_dicts()
+
+
+class TestCertdataTokenizer:
+    @settings(max_examples=300, deadline=None)
+    @given(_certdata_documents(), st.booleans())
+    def test_matches_per_line_reference(self, text, lenient):
+        assert _tokenize(_parse_objects, text, lenient) == _tokenize(
+            _reference_parse_objects, text, lenient
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.binary(max_size=300), st.integers(min_value=1, max_value=40))
+    def test_canonical_blobs_decode_exactly(self, data, per_line):
+        text = f"BEGINDATA\nCKA_VALUE MULTILINE_OCTAL\n{_octal_multiline(data, per_line)}\nEND\n"
+        (obj,) = _parse_objects(text)
+        assert obj.blob("CKA_VALUE") == data
+
+    @pytest.mark.parametrize("escape", _BAD_ESCAPES)
+    def test_non_octal_escapes_rejected(self, escape):
+        text = f"BEGINDATA\nCKA_VALUE MULTILINE_OCTAL\n{escape}\nEND\n"
+        with pytest.raises(FormatError, match="bad octal escape"):
+            _parse_objects(text)
+        log = DiagnosticLog()
+        assert _parse_objects(text, lenient=True, log=log) == []
+        assert [d.error_class for d in log] == ["FormatError"]
