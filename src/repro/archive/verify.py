@@ -20,12 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
 
 from repro.archive.io import remove_all, stray_tmp_files
 from repro.archive.lock import WriterLock
 from repro.archive.manifest import Archive
-from repro.collection.retry import RetryPolicy
 from repro.errors import ArchiveCorruptionError, ArchiveError
 
 
@@ -186,13 +184,7 @@ class GCResult:
         )
 
 
-def gc_archive(
-    archive: Archive,
-    *,
-    dry_run: bool = False,
-    lock_policy: RetryPolicy | None = None,
-    lock_sleep: Callable[[float], None] | None = None,
-) -> GCResult:
+def gc_archive(archive: Archive, *, dry_run: bool = False) -> GCResult:
     """Delete orphan objects, manifests, and stale temp files.
 
     A deleting pass holds the writer lock from the orphan scan to the
@@ -203,7 +195,7 @@ def gc_archive(
     if dry_run:
         report = verify_archive(archive)
     else:
-        with WriterLock(archive.root, owner="gc", policy=lock_policy, sleep=lock_sleep):
+        with WriterLock(archive.root, owner="gc"):
             report = verify_archive(archive)
             for fingerprint in report.orphan_objects:
                 archive.objects.remove(fingerprint)

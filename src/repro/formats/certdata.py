@@ -71,8 +71,8 @@ def _octal_multiline(data: bytes, per_line: int = 16) -> str:
 
 #: One octal escape as ``_parse_octal`` accepts it: 1-3 octal digits.
 _OCTAL_ESCAPE = re.compile(r"[0-7]{1,3}")
-#: Characters allowed in each column (offset mod 4) of a canonical blob.
-_CANONICAL_COLUMNS = (b"\\", b"0123", b"01234567", b"01234567")
+#: One line of a canonical blob, as :func:`_octal_multiline` writes it.
+_CANONICAL_LINE = re.compile(r"(?:\\[0-3][0-7]{2})*")
 
 
 def _parse_octal(lines: list[str]) -> bytes:
@@ -97,24 +97,19 @@ def _parse_octal(lines: list[str]) -> bytes:
     return bytes(out)
 
 
-def _decode_canonical(lines: list[str]) -> bytes | None:
-    r"""Decode a blob in C when it is canonical, else return None.
+def _decode_canonical(lines: list[str], start: int, end: int) -> bytes | None:
+    r"""Decode ``lines[start:end]`` in C when it is canonical, else return None.
 
     Canonical is what :func:`_octal_multiline` writes: every line
-    matches ``(?:\\[0-3][0-7]{2})*``, 3-digit escapes with no whitespace.
-    Such a line is whole 4-character escapes, so the check runs per
-    column of the joined bytes instead of through a regex, which takes
-    about four times as long.  Checking line lengths keeps line
-    boundaries between escapes: ``\10`` then ``1\102`` is not canonical.
+    matches ``(?:\\[0-3][0-7]{2})*``.  Lines are checked one at a time
+    and the check stops at the first that fails, so a blob that is not
+    canonical costs no more than the lines before its own end.
     """
-    joined = "".join(lines)
-    if not joined.isascii() or any(len(line) % 4 for line in lines):
-        return None
-    raw = joined.encode("ascii")
-    for column, allowed in enumerate(_CANONICAL_COLUMNS):
-        if raw[column::4].translate(None, allowed):
+    match = _CANONICAL_LINE.fullmatch
+    for index in range(start, end):
+        if match(lines[index]) is None:
             return None
-    return codecs.escape_decode(raw)[0]
+    return codecs.escape_decode("".join(lines[start:end]).encode("ascii"))[0]
 
 
 def _distrust_timestamp(moment: datetime) -> bytes:
@@ -232,7 +227,7 @@ def _parse_objects(
     lines = text.splitlines()
     index = 0
     began = False
-    exact_ends = True
+    next_end = -1  # position of the next exact END line, once searched
     while index < len(lines):
         line = lines[index].rstrip()
         index += 1
@@ -261,17 +256,18 @@ def _parse_objects(
             # line before it is canonical, so it decodes in C.  Any other
             # line (whitespace, short or bad escapes, a padded " END ")
             # sends the blob down the per-line path, which decides where
-            # it ends and what it decodes to.
-            end = len(lines)
-            if exact_ends:
+            # it ends and what it decodes to.  The next exact END is
+            # searched for only once it is behind us, so blobs that fall
+            # back do not rescan the lines up to it.
+            if next_end < index:
                 try:
-                    end = lines.index("END", index)
+                    next_end = lines.index("END", index)
                 except ValueError:
-                    exact_ends = False  # none left for any later blob either
-            if end < len(lines):
-                blob = _decode_canonical(lines[index:end])
+                    next_end = len(lines)  # none left for any later blob either
+            if next_end < len(lines):
+                blob = _decode_canonical(lines, index, next_end)
                 if blob is not None:
-                    index = end + 1  # consume END
+                    index = next_end + 1  # consume END
                     current.attributes[attr] = ("MULTILINE_OCTAL", blob)
                     continue
             end = index

@@ -24,7 +24,14 @@ from repro.formats import (
     serialize_jks,
     serialize_pem_bundle,
 )
-from repro.formats.certdata import _octal_multiline, _parse_objects, _parse_octal, _RawObject
+from repro.formats import certdata
+from repro.formats.certdata import (
+    _CANONICAL_LINE,
+    _octal_multiline,
+    _parse_objects,
+    _parse_octal,
+    _RawObject,
+)
 from repro.formats.diagnostics import DiagnosticLog
 from repro.store import TrustEntry, TrustLevel, TrustPurpose
 
@@ -300,3 +307,43 @@ class TestCertdataTokenizer:
         log = DiagnosticLog()
         assert _parse_objects(text, lenient=True, log=log) == []
         assert [d.error_class for d in log] == ["FormatError"]
+
+    def test_fallback_blobs_stay_linear(self, monkeypatch):
+        """Blobs ending in a padded ``END `` fall back one by one; the fast
+        path must neither rescan nor re-check the lines up to the one
+        exact END far below them."""
+        checked = []
+
+        class _CountingLine:
+            def fullmatch(self, line):
+                checked.append(line)
+                return _CANONICAL_LINE.fullmatch(line)
+
+        class _CountingLines(list):
+            scanned = 0
+
+            def index(self, value, start=0, *args):
+                try:
+                    found = super().index(value, start, *args)
+                except ValueError:
+                    _CountingLines.scanned += len(self) - start
+                    raise
+                _CountingLines.scanned += found - start
+                return found
+
+        class _Document(str):
+            def splitlines(self, keepends=False):
+                return _CountingLines(super().splitlines(keepends))
+
+        blobs = 2_000
+        body = "".join(
+            f"CKA_BLOB{number} MULTILINE_OCTAL\n\\101\\102\nEND \n" for number in range(blobs)
+        )
+        text = f"BEGINDATA\n{body}CKA_LAST MULTILINE_OCTAL\n\\103\nEND\n"
+        monkeypatch.setattr(certdata, "_CANONICAL_LINE", _CountingLine())
+        assert _tokenize(_parse_objects, _Document(text), False) == _tokenize(
+            _reference_parse_objects, text, False
+        )
+        line_count = len(text.splitlines())
+        assert len(checked) <= line_count
+        assert _CountingLines.scanned <= line_count
