@@ -6,8 +6,9 @@ deduplicated by SHA-256 into a sharded object store
 (:mod:`repro.archive.cas`), one canonical-JSON manifest per snapshot
 plus an atomically rewritten catalog (:mod:`repro.archive.manifest`),
 incremental ingest straight from ``scrape_history``/``Dataset``
-(:mod:`repro.archive.ingest`) — and are served back through persisted
-inverted indexes and LRU caches (:mod:`repro.archive.index`,
+(:mod:`repro.archive.ingest`) — and are served back through one
+persisted, checksummed inverted index and LRU caches
+(:mod:`repro.archive.index`, :mod:`repro.archive.binindex`,
 :mod:`repro.archive.query`): point-in-time trust lookups, snapshot
 reconstruction, cross-provider diffs, removal lags, and archive-backed
 incidence/distance matrices, all in milliseconds instead of a
@@ -31,7 +32,8 @@ from repro.archive.binindex import (
     check_binary_index,
     encode_binary_index,
     load_binary_index,
-    persist_binary_index,
+    load_index,
+    persist_index,
     read_binary_index,
 )
 from repro.archive.cas import ContentStore, PutResult, content_address
@@ -50,8 +52,6 @@ from repro.archive.index import (
     Posting,
     TimelineEntry,
     build_index,
-    load_index,
-    persist_index,
 )
 from repro.archive.ingest import (
     ArchiveWriter,
@@ -144,7 +144,6 @@ __all__ = [
     "ingest_snapshots",
     "load_index",
     "pending_transactions",
-    "persist_binary_index",
     "persist_index",
     "read_binary_index",
     "read_journal",

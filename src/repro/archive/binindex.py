@@ -1,18 +1,14 @@
-"""The compact binary on-disk index (``index/trust.bin``).
+"""The persisted index: ``index/trust.bin``, and its one loader.
 
-The JSON index pair (:mod:`repro.archive.index`) is the durable,
-human-auditable format, but loading it costs a full ``json.loads`` of
-every posting before the first query can run — ~0.3 s of parse per
-process on the seeded corpus, paid again by every worker.  This module
-packs the same :class:`~repro.archive.index.ArchiveIndex` into one
-struct-packed, versioned-header, checksummed file laid out for
-``mmap``:
+The archive index (:class:`~repro.archive.index.ArchiveIndex`) is
+persisted in exactly one form: a struct-packed, versioned-header,
+checksummed file laid out for ``mmap``, so a query process opens it
+without parsing and N pre-forked workers share the mapped pages
+instead of holding N decoded copies.
 
 - **header** (104 bytes): magic, schema, the catalog hash the index
   was built from, a SHA-256 of the payload, section counts, and the
-  fixed field widths.  Opening validates *only* the header — cold
-  start is O(header read), and N pre-forked workers share the mapped
-  pages instead of holding N parsed copies.
+  fixed field widths.
 - **provider table**: fixed-width name + the (offset, count) of the
   provider's slice of the global timeline array.
 - **timeline records**: fixed-width ``(taken_at, entries,
@@ -28,10 +24,15 @@ struct-packed, versioned-header, checksummed file laid out for
 The encoding is a pure deterministic function of the
 :class:`ArchiveIndex`, so the delta-maintained file is byte-identical
 to a full rebuild (the kill-matrix property) and repair converges by
-rebuilding.  The payload checksum is *not* verified on open — that
-would defeat the zero-parse cold start — only by ``archive verify``
-and ``archive repair`` (:func:`check_binary_index`), which treat a
-mismatch as crash damage to quarantine and rebuild.
+rebuilding.  Every open (:func:`read_binary_index`) checks the
+header, the file length, the catalog hash *and* the payload SHA-256 —
+one hash of a few hundred KB, well under a millisecond — because the
+file is both what queries answer from and the base every incremental
+ingest patches: unverified damage would give wrong answers and be
+copied into every later index.  A file that fails any check is
+treated as absent, and :func:`load_index` rebuilds it from the
+manifests; ``archive verify`` reports the same damage
+(:func:`check_binary_index`) and ``archive repair`` quarantines it.
 """
 
 from __future__ import annotations
@@ -39,25 +40,19 @@ from __future__ import annotations
 import hashlib
 import mmap
 import struct
-from bisect import bisect_right
 from collections.abc import Mapping
 from datetime import date
 from pathlib import Path
 
-from repro.archive.index import (
-    INDEX_DIR,
-    ArchiveIndex,
-    Posting,
-    TimelineEntry,
-    load_index,
-)
+from repro.archive.index import ArchiveIndex, Posting, TimelineEntry, build_index
 from repro.archive.io import atomic_write_bytes
 from repro.archive.manifest import Archive
 from repro.errors import ArchiveError
 
-#: File name of the binary index inside ``index/``.
+#: Directory name of the index file inside an archive root.
+INDEX_DIR = "index"
+#: File name of the persisted index inside ``index/``.
 BINARY_FILE = "trust.bin"
-#: Eight bytes no JSON file starts with.
 MAGIC = b"REPROIDX"
 BINARY_SCHEMA = 1
 
@@ -158,8 +153,8 @@ def encode_binary_index(index: ArchiveIndex) -> bytes:
     return header + payload
 
 
-def persist_binary_index(archive: Archive, index: ArchiveIndex) -> None:
-    """Atomically install ``trust.bin`` (same "index" crash site as JSON)."""
+def persist_index(archive: Archive, index: ArchiveIndex) -> None:
+    """Atomically install ``trust.bin`` (the ``index`` crash site)."""
     path = binary_index_path(archive)
     path.parent.mkdir(parents=True, exist_ok=True)
     atomic_write_bytes(path, encode_binary_index(index), site="index")
@@ -448,61 +443,59 @@ class BinaryIndex:
 
 
 def read_binary_index(archive: Archive, catalog_hash: str) -> BinaryIndex | None:
-    """Open ``trust.bin`` when present, intact-looking, and fresh.
+    """Open ``trust.bin`` when present, intact, and fresh.
 
     ``None`` means "treat as absent": missing file, torn/foreign
-    header, or a catalog hash that is not ``catalog_hash``.  Only the
-    header is validated — payload damage is ``verify``/``repair``'s
-    job (:func:`check_binary_index`).
+    header, a length the header disagrees with, a catalog hash that is
+    not ``catalog_hash``, or a payload whose SHA-256 does not match.
     """
-    path = binary_index_path(archive)
     try:
-        index = BinaryIndex(path)
-    except FileNotFoundError:
-        return None
+        index = BinaryIndex(binary_index_path(archive))
     except (ArchiveError, ValueError, OSError):
         return None
-    if index.catalog_hash != catalog_hash:
+    if index.catalog_hash != catalog_hash or not index.verify_payload():
         index.close()
         return None
     return index
 
 
-def load_binary_index(archive: Archive) -> BinaryIndex:
-    """The query loader: fresh binary index, (re)built on demand.
+def load_index(archive: Archive, *, rebuild: bool = False) -> BinaryIndex:
+    """The archive's index: the verified ``trust.bin``, rebuilt when it is not.
 
-    The drop-in ``index_loader`` for
+    The default ``index_loader`` of
     :class:`~repro.archive.query.ArchiveQuery`.  When ``trust.bin`` is
-    missing or stale the JSON path is consulted (rebuilding *it* from
-    manifests if needed), the binary file re-persisted, and the mmap
-    opened — so the cost is paid once per catalog version no matter
-    how many workers follow.
+    missing, stale or damaged (or ``rebuild`` is set) the index is
+    built from the manifests and persisted before it is mapped, so the
+    cost is paid once per catalog version no matter how many query
+    sessions or workers follow.
     """
     catalog_hash = archive.catalog_hash()
     if catalog_hash is None:
         raise ArchiveError(f"archive {archive.root} has no catalog (nothing ingested?)")
-    binary = read_binary_index(archive, catalog_hash)
-    if binary is not None:
-        return binary
-    index = load_index(archive)  # fresh JSON or a full rebuild (which persists)
-    binary = read_binary_index(archive, catalog_hash)
-    if binary is not None:
-        return binary  # the rebuild already installed trust.bin
-    persist_binary_index(archive, index)
-    binary = read_binary_index(archive, catalog_hash)
+    if not rebuild:
+        binary = read_binary_index(archive, catalog_hash)
+        if binary is not None:
+            return binary
+    index = build_index(archive)
+    persist_index(archive, index)
+    binary = read_binary_index(archive, index.catalog_hash)
     if binary is None:  # pragma: no cover - persist just wrote it
-        raise ArchiveError(f"binary index unreadable after rebuild at {binary_index_path(archive)}")
+        raise ArchiveError(f"index unreadable after rebuild at {binary_index_path(archive)}")
     return binary
+
+
+#: Alias for callers that pass the loader as ``index_loader`` by name.
+load_binary_index = load_index
 
 
 def check_binary_index(archive: Archive) -> tuple[str, str] | None:
     """A ``(file, detail)`` damage finding for ``trust.bin``, or None.
 
     Stale-but-valid (catalog hash mismatch) is *not* damage — queries
-    rebuild lazily, exactly like the JSON pair.  Damage is a torn or
-    foreign header, a length that disagrees with the header, or a
-    payload whose checksum no longer matches: the signatures of a
-    crashed or bit-flipped write landing under the final name.
+    rebuild lazily.  Damage is a torn or foreign header, a length that
+    disagrees with the header, or a payload whose checksum no longer
+    matches: the signatures of a crashed or bit-flipped write landing
+    under the final name.
     """
     path = binary_index_path(archive)
     if not path.exists():

@@ -35,7 +35,8 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
-from repro.archive.index import _load_persisted, apply_index_delta, load_index, persist_index
+from repro.archive.binindex import load_index, persist_index, read_binary_index
+from repro.archive.index import apply_index_delta
 from repro.archive.journal import IngestJournal, pending_transactions
 from repro.archive.lock import WriterLock
 from repro.archive.manifest import Archive, CatalogRow, SnapshotManifest, serialize_catalog
@@ -241,12 +242,12 @@ class ArchiveWriter:
     def _update_index(self) -> None:
         """Bring the persisted index to the just-written catalog.
 
-        The cheap path patches the index that matched this session's
-        *starting* catalog with the session's recorded deltas; anything
-        that breaks the delta invariant (no persisted index, it was
-        stale already, or a superseded manifest was unreadable) falls
-        back to the full rebuild.  Runs after the catalog replace and
-        before the journal retires, so a crash mid-update leaves a
+        The cheap path patches the ``trust.bin`` that matched this
+        session's *starting* catalog with the session's recorded deltas;
+        anything that breaks the delta invariant (no intact index, it
+        was stale already, or a superseded manifest was unreadable)
+        falls back to the full rebuild.  Runs after the catalog replace
+        and before the journal retires, so a crash mid-update leaves a
         pending journal for ``archive repair`` to finish the job.
         """
         new_hash = self.archive.catalog_hash()
@@ -254,13 +255,16 @@ class ArchiveWriter:
             return
         base = None
         if not self._index_rebuild_needed and self._base_hash is not None:
-            base = _load_persisted(self.archive, self._base_hash)
+            base = read_binary_index(self.archive, self._base_hash)
         if base is not None:
-            updated = apply_index_delta(base, self._index_changes, new_hash)
+            try:
+                updated = apply_index_delta(base, self._index_changes, new_hash)
+            finally:
+                base.close()
             persist_index(self.archive, updated)
             count("repro_archive_index_updates_total", mode="delta")
         else:
-            load_index(self.archive, rebuild=True)
+            load_index(self.archive, rebuild=True).close()
             count("repro_archive_index_updates_total", mode="rebuild")
         self._index_changes = []
         self._base_hash = new_hash

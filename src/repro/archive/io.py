@@ -1,7 +1,7 @@
 """Durable atomic writes and the crash-site instrumentation hook.
 
-Every file the archive persists — objects, manifests, the catalog, the
-index pair, journal appends — goes through this module, which supplies
+Every file the archive persists — objects, manifests, the catalog,
+``index/trust.bin``, journal appends — goes through this module, which supplies
 the two properties "temp file + ``os.replace``" alone does not:
 
 - **Durability.**  File contents are flushed and ``fsync``'d before the

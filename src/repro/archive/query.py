@@ -7,8 +7,9 @@ without ever re-synthesizing or re-scraping the corpus.
 
 Two layers keep repeated queries off the filesystem entirely:
 
-- the persisted inverted indexes (:mod:`repro.archive.index`) resolve
-  *which* manifest a query needs without scanning the catalog, and
+- the persisted inverted index (``index/trust.bin``,
+  :mod:`repro.archive.binindex`) resolves *which* manifest a query
+  needs without scanning the catalog, and
 - two LRU caches hold decoded manifests and fully reconstructed
   snapshots, so the second query touching the same release costs a
   dictionary hit, not JSON parsing or DER decoding.
@@ -49,7 +50,8 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from repro.archive.index import ArchiveIndex, Posting, TimelineEntry, load_index
+from repro.archive.binindex import load_index
+from repro.archive.index import ArchiveIndex, Posting, TimelineEntry
 from repro.archive.manifest import Archive, SnapshotManifest
 from repro.archive.repair import QuarantinedSnapshot, read_quarantine
 from repro.errors import ArchiveCorruptionError, ArchiveError, ArchiveStaleError
@@ -185,11 +187,12 @@ class ArchiveQuery:
         index_loader: Callable[[Archive], ArchiveIndex] | None = None,
     ):
         self.archive = archive if isinstance(archive, Archive) else Archive(archive)
-        #: How this engine materializes its index — the default parses
-        #: the persisted JSON pair; the serving layer passes
-        #: :func:`repro.archive.binindex.load_binary_index` for the
-        #: zero-parse mmap form.  Loaders must return an object with
-        #: the ``ArchiveIndex`` query surface and ``catalog_hash``.
+        #: How this engine materializes its index — the default maps
+        #: the verified ``trust.bin`` (:func:`repro.archive.binindex.load_index`,
+        #: rebuilt from manifests when missing, stale or damaged);
+        #: ``build_index`` gives an in-memory rebuild.  Loaders must
+        #: return an object with the ``ArchiveIndex`` query surface and
+        #: ``catalog_hash``.
         self._index_loader = index_loader if index_loader is not None else load_index
         with get_telemetry().span("archive.query.load_index", archive=str(self.archive.root)):
             self.index: ArchiveIndex = self._index_loader(self.archive)

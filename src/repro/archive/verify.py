@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.archive.binindex import check_binary_index
 from repro.archive.io import remove_all, stray_tmp_files
 from repro.archive.lock import WriterLock
 from repro.archive.manifest import Archive
@@ -155,11 +156,9 @@ def verify_archive(archive: Archive) -> VerificationReport:
     # Debris of writers killed mid-write (before their os.replace).
     report.stale_tmp = [str(path) for path in stray_tmp_files(archive.root)]
 
-    # The binary query index: a torn header or checksum mismatch is
-    # crash damage a serve/ingest must never keep answering from
+    # The query index: a torn header or checksum mismatch is crash
+    # damage a serve/ingest must never keep answering from
     # (stale-but-valid is fine — queries rebuild it lazily).
-    from repro.archive.binindex import check_binary_index
-
     finding = check_binary_index(archive)
     if finding is not None:
         report.damaged_index.append(finding)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.archive import Archive, verify_archive
-from repro.archive.index import INDEX_DIR, _load_persisted
+from repro.archive.binindex import binary_index_path, read_binary_index
 from repro.bench.archive import _smoke_dataset
 from repro.bench.perf import _timed, is_smoke_mode
 from repro.collection.faults import SimulatedClock
@@ -66,15 +66,18 @@ class IngestSuite:
 
 
 def _index_bytes(archive: Archive) -> bytes:
-    """Every persisted index payload (JSON + binary), or ``b''``.
+    """The persisted ``trust.bin``, or ``b''`` when there is none."""
+    path = binary_index_path(archive)
+    return path.read_bytes() if path.exists() else b""
 
-    The byte-identity gate covers the binary ``trust.bin`` too: a
-    delta-maintained archive must land on exactly the bytes a rebuild
-    produces in *both* formats.
-    """
-    directory = archive.root / INDEX_DIR
-    files = sorted([*directory.glob("*.json"), *directory.glob("*.bin")])
-    return b"".join(path.read_bytes() for path in files)
+
+def _index_fresh(archive: Archive) -> bool:
+    """Whether ``trust.bin`` is intact and built from the live catalog."""
+    index = read_binary_index(archive, archive.catalog_hash())
+    if index is None:
+        return False
+    index.close()
+    return True
 
 
 def _full_cycle(root: Path, dataset: Dataset, *, index: int):
@@ -140,8 +143,7 @@ def run_ingest_suite(
         correctness = {
             "catalog_match": delta_archive.catalog_hash() == full_archive.catalog_hash(),
             "index_identical": _index_bytes(delta_archive) == _index_bytes(full_archive),
-            "index_fresh": _load_persisted(delta_archive, delta_archive.catalog_hash())
-            is not None,
+            "index_fresh": _index_fresh(delta_archive),
             "verify_ok": verify_archive(delta_archive).ok,
             "delta_is_one_tag_per_origin": delta_cycle_result.snapshots_ingested
             == origins,

@@ -2,9 +2,10 @@
 
 The serving layer exists for two measurable promises:
 
-- **cold start**: opening the binary index (``trust.bin``) is a header
-  read + mmap, not the full ``json.loads`` the persisted JSON pair
-  costs — the committed floor demands ≥ 10x.
+- **cold start**: opening the persisted index (``trust.bin``) is a
+  header read, an mmap and one payload checksum, not the manifest scan
+  of :func:`~repro.archive.index.build_index` that is the only other
+  way to get an index — the committed floor demands ≥ 10x.
 - **serving overhead**: a batched daemon round trip must stay within
   5x of the same warm in-process ``trusted_on_many`` batch — the
   price of HTTP + JSON + process hop, amortized by batching.
@@ -12,11 +13,12 @@ The serving layer exists for two measurable promises:
 The suite measures both, plus the daemon under a concurrency ladder
 (p50/p99 per level, ≥ 3 levels), startup time, and per-worker RSS
 (via ``/proc``, ``None`` off-Linux).  Correctness is gated in *every*
-mode: the mmap-backed index must decode to exactly the JSON-loaded
-:class:`~repro.archive.index.ArchiveIndex`, and the query surface
-(``trusted_on_many`` across every archived date, ``ever_shipped`` for
-every fingerprint, in-force resolution for every provider × date)
-must be element-wise identical between the two loaders.
+mode: the mmap-backed index must decode to exactly the
+:class:`~repro.archive.index.ArchiveIndex` rebuilt from the manifests,
+and the query surface (``trusted_on_many`` across every archived date,
+``ever_shipped`` for every fingerprint, in-force resolution for every
+provider × date) must be element-wise identical between the mapped
+file and an engine over ``index_loader=build_index``.
 
 Like the sibling suites, wall clock is the measurand here and
 ``REPRO_BENCH_SMOKE=1`` shrinks the corpus and ladder to ride inside
@@ -33,8 +35,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.archive import Archive, ingest_dataset
-from repro.archive.binindex import load_binary_index, read_binary_index
-from repro.archive.index import _load_persisted, load_index
+from repro.archive.binindex import read_binary_index
+from repro.archive.index import build_index
 from repro.archive.query import ArchiveQuery
 from repro.bench.archive import _smoke_dataset
 from repro.bench.perf import _timed, is_smoke_mode
@@ -61,7 +63,7 @@ class ServingSuite:
         lines = [
             f"mode            : {r['mode']} ({r['providers']} providers, "
             f"{r['fingerprints']} fingerprints)",
-            f"cold start      : json {r['cold_start']['json_s'] * 1e3:.2f} ms, "
+            f"cold start      : rebuild {r['cold_start']['rebuild_s'] * 1e3:.2f} ms, "
             f"binary {r['cold_start']['binary_s'] * 1e3:.3f} ms "
             f"({r['cold_start']['speedup']:.0f}x, floor "
             f"{r['cold_start']['floor']['min_speedup']:.0f}x, "
@@ -115,15 +117,14 @@ def _probe_space(query: ArchiveQuery) -> tuple[list[str], list]:
 
 
 def _bench_cold_start(archive: Archive, *, rounds: int) -> dict:
-    """Parse-the-JSON vs. map-the-binary, best of ``rounds`` each."""
+    """Rebuild-from-manifests vs. map-the-binary, best of ``rounds`` each."""
     catalog_hash = archive.catalog_hash()
-    json_s, loaded = _timed(
-        lambda: _load_persisted(archive, catalog_hash),
+    rebuild_s, _ = _timed(
+        lambda: build_index(archive),
         rounds=rounds,
         suite="serving",
-        section="cold_json",
+        section="cold_rebuild",
     )
-    assert loaded is not None, "persisted JSON index must be fresh after ingest"
 
     def open_binary():
         index = read_binary_index(archive, catalog_hash)
@@ -134,9 +135,9 @@ def _bench_cold_start(archive: Archive, *, rounds: int) -> dict:
     binary_s, _ = _timed(
         open_binary, rounds=rounds, suite="serving", section="cold_binary"
     )
-    speedup = json_s / binary_s if binary_s > 0 else float("inf")
+    speedup = rebuild_s / binary_s if binary_s > 0 else float("inf")
     return {
-        "json_s": json_s,
+        "rebuild_s": rebuild_s,
         "binary_s": binary_s,
         "speedup": speedup,
         "floor": {"min_speedup": MIN_COLD_SPEEDUP, "met": speedup >= MIN_COLD_SPEEDUP},
@@ -144,27 +145,25 @@ def _bench_cold_start(archive: Archive, *, rounds: int) -> dict:
 
 
 def _check_equivalence(archive: Archive) -> dict:
-    """Element-wise identity between the JSON and binary query paths."""
-    json_engine = ArchiveQuery(archive)  # default loader: persisted JSON
-    binary_engine = ArchiveQuery(archive, index_loader=load_binary_index)
-    fingerprints, dates = _probe_space(json_engine)
+    """Element-wise identity between ``trust.bin`` and a manifest rebuild."""
+    rebuilt_engine = ArchiveQuery(archive, index_loader=build_index)
+    binary_engine = ArchiveQuery(archive)  # default loader: trust.bin
+    fingerprints, dates = _probe_space(rebuilt_engine)
 
-    index_identical = (
-        binary_engine.index.to_archive_index() == load_index(archive)
-    )
+    index_identical = binary_engine.index.to_archive_index() == rebuilt_engine.index
     trusted_identical = all(
-        json_engine.trusted_on_many(fingerprints, when)
+        rebuilt_engine.trusted_on_many(fingerprints, when)
         == binary_engine.trusted_on_many(fingerprints, when)
         for when in dates
     )
     shipped_identical = all(
-        json_engine.ever_shipped(fp) == binary_engine.ever_shipped(fp)
+        rebuilt_engine.ever_shipped(fp) == binary_engine.ever_shipped(fp)
         for fp in fingerprints
     )
     in_force_identical = all(
-        json_engine.index.in_force(provider, when)
+        rebuilt_engine.index.in_force(provider, when)
         == binary_engine.index.in_force(provider, when)
-        for provider in json_engine.providers
+        for provider in rebuilt_engine.providers
         for when in dates
     )
     return {
@@ -182,8 +181,8 @@ def _check_equivalence(archive: Archive) -> dict:
 
 
 def _bench_warm(archive: Archive, batch: list[str], dates, *, iters: int) -> dict:
-    """p50 of a warm in-process ``trusted_on_many`` batch (binary loader)."""
-    engine = ArchiveQuery(archive, index_loader=load_binary_index)
+    """p50 of a warm in-process ``trusted_on_many`` batch (``trust.bin``)."""
+    engine = ArchiveQuery(archive)
     engine.trusted_on_many(batch, dates[0])  # prime caches
     latencies = []
     for k in range(iters):
@@ -329,10 +328,9 @@ def run_serving_suite(
     with tempfile.TemporaryDirectory(prefix="repro-serving-bench-") as tmp:
         root = Path(tmp) / "archive"
         archive = Archive(root, create=True)
-        ingest_dataset(archive, dataset)
-        load_index(archive)  # persist both index formats before timing
+        ingest_dataset(archive, dataset)  # persists trust.bin
 
-        probe_engine = ArchiveQuery(archive, index_loader=load_binary_index)
+        probe_engine = ArchiveQuery(archive)
         fingerprints, dates = _probe_space(probe_engine)
         batch = fingerprints[: min(len(fingerprints), 32 if smoke else 256)]
 

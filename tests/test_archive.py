@@ -19,8 +19,10 @@ import pytest
 from repro.archive import (
     Archive,
     ArchiveQuery,
+    BinaryIndex,
     ContentStore,
     SnapshotManifest,
+    build_index,
     content_address,
     gc_archive,
     ingest_dataset,
@@ -305,12 +307,13 @@ class TestQuery:
 class TestIndex:
     def test_index_is_persisted_and_reloaded(self, archive_dir):
         archive = Archive(archive_dir)
-        index_dir = archive.root / "index"
-        assert (index_dir / "fingerprints.json").exists()
-        assert (index_dir / "timelines.json").exists()
+        assert sorted(p.name for p in (archive.root / "index").iterdir()) == ["trust.bin"]
         loaded = load_index(archive)
+        assert isinstance(loaded, BinaryIndex)
         assert loaded.catalog_hash == archive.catalog_hash()
         assert loaded.providers == sorted(loaded.timelines)
+        assert loaded.to_archive_index() == build_index(archive)
+        loaded.close()
 
     def test_stale_index_rebuilds_after_new_ingest(self, dataset, archive_dir, tmp_path):
         archive = _copy_archive(archive_dir, tmp_path)

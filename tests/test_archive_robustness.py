@@ -419,22 +419,22 @@ class TestRepairHealsWatchState:
     def test_stale_index_is_rebuilt(self, tmp_path, tiny_dataset):
         """An index left behind by an older catalog is torn state: repair
         must rebuild it to match the current catalog hash."""
-        from repro.archive.index import _load_persisted
+        from dataclasses import replace
+
+        from repro.archive import build_index, encode_binary_index, read_binary_index
+        from repro.archive.binindex import binary_index_path
 
         archive = Archive(tmp_path / "arch", create=True)
         ingest_dataset(archive, tiny_dataset)
-        ArchiveQuery(archive)  # persist a fresh index
-        index_files = list((archive.root / "index").glob("*.json"))
-        assert index_files
-        for path in index_files:
-            payload = json.loads(path.read_text())
-            payload["catalog_hash"] = "0" * 64  # now stale
-            path.write_text(json.dumps(payload))
-        assert _load_persisted(archive, archive.catalog_hash()) is None
+        path = binary_index_path(archive)
+        fresh = path.read_bytes()
+        stale = replace(build_index(archive), catalog_hash="0" * 64)
+        path.write_bytes(encode_binary_index(stale))  # intact, but stale
+        assert read_binary_index(archive, archive.catalog_hash()) is None
 
         report = repair_archive(archive)
         assert report.index_healed
-        assert _load_persisted(archive, archive.catalog_hash()) is not None
+        assert path.read_bytes() == fresh
         assert repair_archive(archive).clean  # idempotent
 
     def test_damaged_checkpoints_are_quarantined(self, tmp_path, tiny_dataset):

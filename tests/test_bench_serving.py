@@ -46,8 +46,8 @@ class TestServingSmoke:
             "daemon",
         }
 
-        # Correctness gates hold in every mode: the binary index is the
-        # JSON index, observable through every query surface.
+        # Correctness gates hold in every mode: the mapped trust.bin is
+        # the index rebuilt from manifests, through every query surface.
         equivalence = results["equivalence"]
         assert equivalence["index_identical"] is True
         assert equivalence["trusted_on_identical"] is True

@@ -9,7 +9,8 @@ Four layers under test, bottom-up:
 - query equivalence: an :class:`ArchiveQuery` over the mmap-backed
   index must answer every surface — ``trusted_on``,
   ``trusted_on_many``, ``ever_shipped``, ``snapshot_at``, ``diff`` —
-  element-wise identically to the JSON-loaded engine, and
+  element-wise identically to an engine over a manifest rebuild
+  (``index_loader=build_index``), and
   ``trusted_on_many`` must equal a ``trusted_on`` loop;
 - concurrent readers vs. the watch loop: a reader holding the mmap'd
   index while a commit lands keeps serving its old snapshot
@@ -29,22 +30,28 @@ import os
 from datetime import date
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.archive import (
     Archive,
     ArchiveQuery,
+    build_index,
     check_binary_index,
     encode_binary_index,
     ingest_dataset,
     load_binary_index,
-    load_index,
-    persist_binary_index,
     read_binary_index,
     repair_archive,
     verify_archive,
 )
-from repro.archive.binindex import BINARY_FILE, BinaryIndex, binary_index_path
-from repro.archive.index import INDEX_DIR
+from repro.archive.binindex import (
+    BINARY_FILE,
+    HEADER_SIZE,
+    INDEX_DIR,
+    BinaryIndex,
+    binary_index_path,
+)
 from repro.archive.repair import QUARANTINE_DIR
 from repro.bench.archive import _smoke_dataset
 from repro.collection.faults import SimulatedClock
@@ -73,12 +80,11 @@ def small_dataset(dataset):
 
 @pytest.fixture(scope="module")
 def served_archive(small_dataset, tmp_path_factory):
-    """A small ingested archive with both index formats persisted."""
+    """A small ingested archive (ingest persists ``trust.bin``)."""
     root = tmp_path_factory.mktemp("serving") / "archive"
     os.environ.setdefault("REPRO_ARCHIVE_FSYNC", "0")
     archive = Archive(root, create=True)
     ingest_dataset(archive, small_dataset)
-    load_index(archive)
     return root
 
 
@@ -100,14 +106,14 @@ def _probes(query: ArchiveQuery):
 class TestBinaryCodec:
     def test_round_trip_is_lossless(self, served_archive):
         archive = Archive(served_archive)
-        index = load_index(archive)
+        index = build_index(archive)
         binary = read_binary_index(archive, archive.catalog_hash())
         assert binary is not None
         assert binary.to_archive_index() == index
         binary.close()
 
     def test_encoding_is_deterministic(self, served_archive):
-        index = load_index(Archive(served_archive))
+        index = build_index(Archive(served_archive))
         assert encode_binary_index(index) == encode_binary_index(index)
 
     def test_open_validates_header_only(self, served_archive):
@@ -121,9 +127,10 @@ class TestBinaryCodec:
     def test_lazy_lookup_decodes_one_posting_list(self, served_archive):
         archive = Archive(served_archive)
         binary = read_binary_index(archive, archive.catalog_hash())
-        fingerprint = sorted(load_index(archive).postings)[0]
+        rebuilt = build_index(archive)
+        fingerprint = sorted(rebuilt.postings)[0]
         postings = binary.postings_for(fingerprint)
-        assert postings == load_index(archive).postings[fingerprint]
+        assert postings == rebuilt.postings[fingerprint]
         assert binary.postings_for("ff" * 32) == ()
         assert binary.postings_for("not-hex") == ()
         binary.close()
@@ -212,14 +219,103 @@ class TestBinaryDamage:
         assert not repair_archive(damaged_clone).index_healed
 
 
-# -- compact persisted JSON (satellite: no pretty-printing) ----------------
+# -- the loader never answers from a damaged file ---------------------------
+
+#: Each example rewrites one ~9 KB file and may rebuild the index from
+#: the smoke archive's manifests (a few ms); derandomized so a failure
+#: reproduces.
+LOADER_FUZZ = settings(max_examples=100, deadline=None, derandomize=True)
+
+#: Byte range of the header's reserved ``flags`` field: nothing reads it,
+#: so a flip there is the one change the loader may keep.
+_FLAGS = range(10, 12)
 
 
-def test_persisted_json_indexes_are_compact(served_archive):
-    for name in ("fingerprints.json", "timelines.json"):
-        text = (served_archive / INDEX_DIR / name).read_text()
-        payload = json.loads(text)
-        assert text == json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+def _answers(engine: ArchiveQuery, fingerprints, dates):
+    return (
+        [engine.trusted_on_many(fingerprints, when) for when in dates],
+        [engine.ever_shipped(fingerprint) for fingerprint in fingerprints],
+    )
+
+
+class TestLoaderRejectsDamage:
+    """Any flipped byte or truncation of ``trust.bin`` answers exactly
+    like an index rebuilt from the manifests: the loader checks the
+    header, length, catalog hash and payload SHA-256 on every open and
+    rebuilds whatever fails."""
+
+    @pytest.fixture(scope="class")
+    def fuzz_archive(self, served_archive, tmp_path_factory):
+        import shutil
+
+        clone = tmp_path_factory.mktemp("fuzz") / "archive"
+        shutil.copytree(served_archive, clone)
+        archive = Archive(clone)
+        oracle = ArchiveQuery(archive, index_loader=build_index)
+        fingerprints, dates = _probes(oracle)
+        pristine = binary_index_path(archive).read_bytes()
+        return archive, pristine, fingerprints, dates, _answers(oracle, fingerprints, dates)
+
+    def _load_damaged(self, fuzz_archive, damaged: bytes) -> bytes:
+        """Answer from ``damaged``; return what the loader left on disk."""
+        archive, _, fingerprints, dates, expected = fuzz_archive
+        path = binary_index_path(archive)
+        path.write_bytes(damaged)
+        engine = ArchiveQuery(archive, index_loader=load_binary_index)
+        try:
+            assert _answers(engine, fingerprints, dates) == expected
+        finally:
+            engine.index.close()
+        return path.read_bytes()
+
+    def _flip(self, fuzz_archive, offset: int, mask: int) -> None:
+        pristine = fuzz_archive[1]
+        damaged = bytearray(pristine)
+        damaged[offset] ^= mask
+        left = self._load_damaged(fuzz_archive, bytes(damaged))
+        if offset not in _FLAGS:
+            assert left == pristine  # rebuilt, not kept
+
+    @LOADER_FUZZ
+    @given(data=st.data())
+    def test_byte_flip_answers_like_a_rebuild(self, fuzz_archive, data):
+        size = len(fuzz_archive[1])
+        offset = data.draw(st.integers(0, size - 1), label="offset")
+        mask = data.draw(st.integers(1, 255), label="mask")
+        self._flip(fuzz_archive, offset, mask)
+
+    def test_every_header_byte_flip_answers_like_a_rebuild(self, fuzz_archive):
+        for offset in range(HEADER_SIZE):
+            self._flip(fuzz_archive, offset, 0xFF)
+
+    @settings(LOADER_FUZZ, max_examples=40)
+    @given(data=st.data())
+    def test_truncation_answers_like_a_rebuild(self, fuzz_archive, data):
+        pristine = fuzz_archive[1]
+        length = data.draw(st.integers(0, len(pristine) - 1), label="length")
+        assert self._load_damaged(fuzz_archive, pristine[:length]) == pristine
+
+    def test_ingest_rebuilds_instead_of_patching_a_damaged_base(
+        self, small_dataset, tmp_path
+    ):
+        archive = Archive(tmp_path / "archive", create=True)
+        ingest_dataset(archive, small_dataset, providers=small_dataset.providers[:1])
+        path = binary_index_path(archive)
+        data = bytearray(path.read_bytes())
+        data[len(data) // 2] ^= 0x55
+        path.write_bytes(bytes(data))
+
+        ingest_dataset(archive, small_dataset)
+        assert path.read_bytes() == encode_binary_index(build_index(archive))
+
+
+# -- one persisted index ----------------------------------------------------
+
+
+def test_ingest_persists_only_trust_bin(small_dataset, tmp_path):
+    archive = Archive(tmp_path / "archive", create=True)
+    ingest_dataset(archive, small_dataset)
+    assert sorted(os.listdir(archive.root / INDEX_DIR)) == [BINARY_FILE]
 
 
 # -- query equivalence -----------------------------------------------------
@@ -229,8 +325,8 @@ class TestBinaryQueryEquivalence:
     @pytest.fixture(scope="class")
     def engines(self, served_archive):
         return (
-            ArchiveQuery(served_archive),  # persisted-JSON loader
-            ArchiveQuery(served_archive, index_loader=load_binary_index),
+            ArchiveQuery(served_archive, index_loader=build_index),
+            ArchiveQuery(served_archive),  # default loader: trust.bin
         )
 
     def test_loader_is_the_binary_index(self, engines):
@@ -238,45 +334,45 @@ class TestBinaryQueryEquivalence:
         assert isinstance(binary_engine.index, BinaryIndex)
 
     def test_trusted_on_identical(self, engines):
-        json_engine, binary_engine = engines
-        fingerprints, dates = _probes(json_engine)
+        rebuilt_engine, binary_engine = engines
+        fingerprints, dates = _probes(rebuilt_engine)
         for when in dates:
-            assert json_engine.trusted_on_many(
+            assert rebuilt_engine.trusted_on_many(
                 fingerprints, when
             ) == binary_engine.trusted_on_many(fingerprints, when)
 
     def test_ever_shipped_identical(self, engines):
-        json_engine, binary_engine = engines
-        fingerprints, _ = _probes(json_engine)
+        rebuilt_engine, binary_engine = engines
+        fingerprints, _ = _probes(rebuilt_engine)
         for fingerprint in fingerprints:
-            assert json_engine.ever_shipped(fingerprint) == binary_engine.ever_shipped(
+            assert rebuilt_engine.ever_shipped(fingerprint) == binary_engine.ever_shipped(
                 fingerprint
             )
 
     def test_snapshot_at_identical(self, engines):
-        json_engine, binary_engine = engines
-        _, dates = _probes(json_engine)
-        for provider in json_engine.providers:
+        rebuilt_engine, binary_engine = engines
+        _, dates = _probes(rebuilt_engine)
+        for provider in rebuilt_engine.providers:
             for when in (dates[0], dates[-1]):
                 ours = binary_engine.snapshot_at(provider, when)
-                theirs = json_engine.snapshot_at(provider, when)
+                theirs = rebuilt_engine.snapshot_at(provider, when)
                 assert (ours is None) == (theirs is None)
                 if ours is not None:
                     assert ours.fingerprints() == theirs.fingerprints()
 
     def test_diff_identical(self, engines):
-        json_engine, binary_engine = engines
-        providers = json_engine.providers
-        _, dates = _probes(json_engine)
+        rebuilt_engine, binary_engine = engines
+        providers = rebuilt_engine.providers
+        _, dates = _probes(rebuilt_engine)
         ours = binary_engine.diff(providers[0], providers[1], when=dates[-1])
-        theirs = json_engine.diff(providers[0], providers[1], when=dates[-1])
+        theirs = rebuilt_engine.diff(providers[0], providers[1], when=dates[-1])
         assert ours == theirs
 
     def test_timelines_and_providers_identical(self, engines):
-        json_engine, binary_engine = engines
-        assert json_engine.providers == binary_engine.providers
-        for provider in json_engine.providers:
-            assert json_engine.timeline(provider) == binary_engine.timeline(provider)
+        rebuilt_engine, binary_engine = engines
+        assert rebuilt_engine.providers == binary_engine.providers
+        for provider in rebuilt_engine.providers:
+            assert rebuilt_engine.timeline(provider) == binary_engine.timeline(provider)
 
 
 def test_trusted_on_many_equals_looped_trusted_on(served_archive):
