@@ -43,8 +43,10 @@ from repro.analysis.hygiene import HygieneRow, hygiene_report, hygiene_row, rank
 from repro.analysis.incidence import (
     IncidenceMatrix,
     build_incidence,
-    intersection_counts,
+    cross_distances,
+    incidence_from_sets,
     jaccard_distances,
+    maxmin_landmarks,
     overlap_distances,
 )
 from repro.analysis.jaccard import (
@@ -83,17 +85,7 @@ from repro.analysis.mds import (
     classical_mds,
     kruskal_stress,
     landmark_mds,
-    select_landmarks,
     smacof,
-)
-from repro.analysis.sparse import (
-    SparseIncidence,
-    blocked_jaccard_distances,
-    blocked_overlap_distances,
-    build_sparse_incidence,
-    cross_distances,
-    maxmin_landmarks,
-    sparse_from_sets,
 )
 from repro.analysis.timeseries import chart, resample, sparkline
 from repro.analysis.minimization import (
@@ -159,17 +151,13 @@ __all__ = [
     "PyramidStats",
     "RemovalRow",
     "ResponseRow",
-    "SparseIncidence",
     "StalenessSeries",
     "TrafficModel",
     "agility_profile",
     "agility_report",
     "attack_surface",
-    "blocked_jaccard_distances",
-    "blocked_overlap_distances",
     "build_ecosystem_graph",
     "build_incidence",
-    "build_sparse_incidence",
     "chart",
     "conflation_timeline",
     "constraints_extension",
@@ -187,8 +175,8 @@ __all__ = [
     "find_outliers",
     "hygiene_report",
     "hygiene_row",
+    "incidence_from_sets",
     "infer_constraints",
-    "intersection_counts",
     "issuance_profile",
     "jaccard_distance",
     "jaccard_distances",
@@ -218,9 +206,7 @@ __all__ = [
     "rank_by_hygiene",
     "render_table",
     "response_report",
-    "select_landmarks",
     "smacof",
-    "sparse_from_sets",
     "sparkline",
     "staleness_report",
     "staleness_series",

@@ -6,12 +6,12 @@ their TLS-trusted fingerprint sets.  An alternative overlap-coefficient
 distance is provided for the ablation benchmark.
 
 The matrix is computed through the shared incidence substrate
-(:mod:`repro.analysis.incidence`): one boolean snapshots × fingerprints
-matrix, one matrix product, inclusion–exclusion unions.  The historical
-per-pair set arithmetic survives behind the ``"jaccard-naive"`` /
-``"overlap-naive"`` metrics as the equivalence oracle — both paths
-produce element-wise identical float64 matrices because every count
-involved is a small exact integer.
+(:mod:`repro.analysis.incidence`): one CSR snapshots × fingerprints
+relation, tiled matrix products, inclusion–exclusion unions.  The
+historical per-pair set arithmetic survives behind the
+``"jaccard-naive"`` / ``"overlap-naive"`` metrics as the equivalence
+oracle — both paths produce element-wise identical float64 matrices
+because every count involved is a small exact integer.
 """
 
 from __future__ import annotations
@@ -91,7 +91,7 @@ def collect_snapshots(
 
 #: metric name -> per-pair distance function (the naive oracle path).
 _PAIRWISE = {"jaccard": jaccard_distance, "overlap": overlap_distance}
-#: metric name -> incidence-matrix distance function (the fast path).
+#: metric name -> tiled incidence kernel (the fast path).
 _VECTORIZED = {"jaccard": jaccard_distances, "overlap": overlap_distances}
 
 
@@ -127,8 +127,8 @@ def distance_matrix(
 ) -> LabelledMatrix:
     """Pairwise distances between snapshot fingerprint sets.
 
-    ``metric`` is ``"jaccard"`` or ``"overlap"`` (vectorized via the
-    incidence matrix), or ``"jaccard-naive"`` / ``"overlap-naive"`` for
+    ``metric`` is ``"jaccard"`` or ``"overlap"`` (the tiled incidence
+    kernels), or ``"jaccard-naive"`` / ``"overlap-naive"`` for
     the original per-pair loop kept as the equivalence oracle.
     """
     if not snapshots:
@@ -159,12 +159,4 @@ def distance_matrix(
             return LabelledMatrix(labels=labels, matrix=matrix)
 
     incidence = build_incidence(snapshots, purpose=purpose)
-    with stage_timer(
-        "analysis.distance",
-        "repro_analysis_stage_seconds",
-        metric_labels={"stage": "distance"},
-        metric_name=metric,
-        snapshots=len(snapshots),
-    ):
-        matrix = _VECTORIZED[base](incidence)
-    return LabelledMatrix(labels=labels, matrix=matrix)
+    return LabelledMatrix(labels=labels, matrix=_VECTORIZED[base](incidence))

@@ -6,7 +6,7 @@ Figure 1's ordination.  Also provides classical (Torgerson) MDS for the
 ablation benchmark, the Kruskal stress-1 quality metric, and
 :func:`landmark_mds` — the O(k² + nk) landmark/pivot variant that keeps
 ordination tractable at corpus scales where full SMACOF's O(n²) per
-iteration is intractable (see :mod:`repro.analysis.sparse` for the
+iteration is intractable (see :mod:`repro.analysis.incidence` for the
 matching distance substrate).
 """
 
@@ -248,22 +248,6 @@ class LandmarkMDSResult:
     @property
     def dims(self) -> int:
         return self.embedding.shape[1]
-
-
-def select_landmarks(n: int, k: int) -> tuple[int, ...]:
-    """Evenly strided landmark indices — the zero-information fallback.
-
-    :func:`repro.analysis.sparse.maxmin_landmarks` picks better-spread
-    pivots when a sparse incidence is available; this exists for plain
-    dissimilarity-matrix callers.
-    """
-    if k < 2:
-        raise AnalysisError(f"need at least two landmarks, got {k}")
-    if k > n:
-        raise AnalysisError(f"cannot pick {k} landmarks from {n} points")
-    stride = n / k
-    indices = sorted({int(i * stride) for i in range(k)})
-    return tuple(indices)
 
 
 def landmark_mds(

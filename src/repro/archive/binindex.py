@@ -56,9 +56,9 @@ BINARY_FILE = "trust.bin"
 MAGIC = b"REPROIDX"
 BINARY_SCHEMA = 1
 
-#: magic, schema, flags, provider_width, version_width, n_providers,
-#: n_timelines, n_fingerprints, n_postings, payload_len, catalog_hash,
-#: payload_sha256.
+#: magic, schema, flags (reserved, always 0), provider_width,
+#: version_width, n_providers, n_timelines, n_fingerprints, n_postings,
+#: payload_len, catalog_hash, payload_sha256.
 _HEADER = struct.Struct("<8sHHHHIIIIQ32s32s")
 HEADER_SIZE = _HEADER.size
 
@@ -173,7 +173,7 @@ class _Header:
 
     def __init__(self, raw: bytes):
         (
-            magic, schema, _flags, self.provider_width, self.version_width,
+            magic, schema, flags, self.provider_width, self.version_width,
             self.n_providers, self.n_timelines, self.n_fingerprints,
             self.n_postings, self.payload_len, catalog_hash, self.payload_sha,
         ) = _HEADER.unpack(raw)
@@ -181,6 +181,8 @@ class _Header:
             raise ArchiveError("bad magic (torn or foreign file)")
         if schema != BINARY_SCHEMA:
             raise ArchiveError(f"unsupported schema {schema}")
+        if flags:
+            raise ArchiveError(f"unknown header flags {flags:#06x}")
         self.catalog_hash = catalog_hash.hex()
         self.provider_record = self.provider_width + _RANGE.size
         self.timeline_record = _TIMELINE_FIXED.size + self.version_width

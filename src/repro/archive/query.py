@@ -48,8 +48,6 @@ from datetime import date
 from pathlib import Path
 from typing import Callable, Iterable
 
-import numpy as np
-
 from repro.archive.binindex import load_index
 from repro.archive.index import ArchiveIndex, Posting, TimelineEntry
 from repro.archive.manifest import Archive, SnapshotManifest
@@ -591,33 +589,20 @@ class ArchiveQuery:
         providers: list[str] | None = None,
         sparse: bool = False,
     ):
-        """The snapshots × fingerprints incidence matrix, from manifests.
+        """The snapshots × fingerprints incidence relation, from manifests.
 
-        Feeds the vectorized analysis substrate
-        (:mod:`repro.analysis.incidence`) directly from the archive: no
-        corpus synthesis, no scraping, no certificate parsing — the
-        purpose filter runs on the trust bits stored in each manifest.
-
-        With ``sparse=True`` returns a
-        :class:`~repro.analysis.sparse.SparseIncidence` instead — the
-        CSR-style representation that stays a few percent of the dense
-        footprint at population scale (tens of thousands of snapshots).
+        Feeds the analysis substrate (:mod:`repro.analysis.incidence`)
+        directly from the archive: no corpus synthesis, no scraping, no
+        certificate parsing — the purpose filter runs on the trust bits
+        stored in each manifest.  ``sparse`` is accepted for older
+        callers and ignored: the relation is always CSR.
         """
-        from repro.analysis.incidence import IncidenceMatrix
-        from repro.analysis.sparse import sparse_from_sets
+        from repro.analysis.incidence import incidence_from_sets
 
         labels, sets = self._fingerprint_sets(
             purpose=purpose, since=since, providers=providers
         )
-        if sparse:
-            return sparse_from_sets(labels, sets)
-        universe = sorted(frozenset().union(*sets))
-        column = {fingerprint: k for k, fingerprint in enumerate(universe)}
-        matrix = np.zeros((len(sets), len(universe)), dtype=bool)
-        for row, fingerprints in enumerate(sets):
-            if fingerprints:
-                matrix[row, [column[f] for f in fingerprints]] = True
-        return IncidenceMatrix(labels=labels, fingerprints=tuple(universe), matrix=matrix)
+        return incidence_from_sets(labels, sets)
 
     def distance_matrix(
         self,
@@ -626,42 +611,19 @@ class ArchiveQuery:
         purpose: TrustPurpose | None = TrustPurpose.SERVER_AUTH,
         since: date | None = None,
         providers: list[str] | None = None,
-        blocked: bool = False,
-        block_rows: int | None = None,
     ):
         """The pairwise distance matrix over archived snapshots.
 
         Equivalent to ``repro.analysis.distance_matrix`` over the live
         corpus (the equivalence tests assert element-wise identity) but
-        sourced purely from the archive.
-
-        With ``blocked=True`` the matrix is computed tile-by-tile from
-        the sparse incidence — element-wise identical output, but peak
-        memory stays one (n, n) output buffer plus two
-        (``block_rows`` × universe) slabs instead of the dense boolean
-        matrix and its full-size temporaries.
+        sourced purely from the archive.  Computed tile by tile: peak
+        memory is the (n, n) output plus one tile and two row slabs.
         """
         from repro.analysis.incidence import jaccard_distances, overlap_distances
         from repro.analysis.jaccard import LabelledMatrix
-        from repro.analysis.sparse import (
-            DEFAULT_BLOCK_ROWS,
-            blocked_jaccard_distances,
-            blocked_overlap_distances,
-        )
 
-        vectorized = {"jaccard": jaccard_distances, "overlap": overlap_distances}
-        tiled = {"jaccard": blocked_jaccard_distances, "overlap": blocked_overlap_distances}
-        if metric not in vectorized:
+        kernels = {"jaccard": jaccard_distances, "overlap": overlap_distances}
+        if metric not in kernels:
             raise ArchiveError(f"unknown metric {metric!r}")
-        if blocked:
-            sparse = self.incidence(
-                purpose=purpose, since=since, providers=providers, sparse=True
-            )
-            matrix = tiled[metric](
-                sparse, block_rows=block_rows or DEFAULT_BLOCK_ROWS
-            )
-            return LabelledMatrix(labels=sparse.labels, matrix=matrix)
         incidence = self.incidence(purpose=purpose, since=since, providers=providers)
-        return LabelledMatrix(
-            labels=incidence.labels, matrix=vectorized[metric](incidence)
-        )
+        return LabelledMatrix(labels=incidence.labels, matrix=kernels[metric](incidence))

@@ -4,7 +4,7 @@ The suite measures four things, mirroring the optimization work they
 guard:
 
 - **distance**: full-dataset Jaccard distance matrix, naive per-pair
-  loop vs. the vectorized incidence-matrix path, with the element-wise
+  loop vs. the tiled incidence kernel, with the element-wise
   maximum deviation between the two (must be ~0).
 - **mds**: SMACOF stress-majorization on that matrix (the Figure 1
   embedding), whose per-iteration distance computation uses the Gram

@@ -8,11 +8,12 @@ claims that make that real:
 - **population + ingest**: synthesize a ≥5k-snapshot derivative
   population deterministically (no new certificate minting) and ingest
   it into a fresh archive end-to-end.
-- **equivalence + memory**: the blocked (sparse-slab) distance
-  products must agree **element-wise exactly** with the dense oracle on
-  the seeded 649-snapshot corpus, and at population scale their peak
-  allocation beyond the output buffer must undercut the dense path's
-  (n, n) temporaries by a wide margin (tracemalloc-measured).
+- **equivalence + memory**: the tiled distance kernel at its default
+  block height must agree **element-wise exactly** with the same kernel
+  run as one (n, n) tile (the dense product) on the seeded 649-snapshot
+  corpus, and at population scale its peak allocation beyond the output
+  buffer must undercut the one-tile run's (n, n) temporaries by a wide
+  margin (tracemalloc-measured).
 - **landmark MDS**: the k-landmark embed + triangulate pipeline must
   beat iteration-matched full SMACOF by ≥10× at population scale while
   staying within stress tolerance of it on the full-matrix Kruskal
@@ -34,14 +35,14 @@ from typing import Callable
 
 import numpy as np
 
-from repro.analysis.incidence import build_incidence, jaccard_distances
-from repro.analysis.mds import kruskal_stress, landmark_mds, smacof
-from repro.analysis.sparse import (
-    blocked_jaccard_distances,
-    build_sparse_incidence,
+from repro.analysis.incidence import (
+    build_incidence,
     cross_distances,
+    jaccard_distances,
     maxmin_landmarks,
+    overlap_distances,
 )
+from repro.analysis.mds import kruskal_stress, landmark_mds, smacof
 from repro.archive import Archive, ArchiveQuery, ingest_dataset
 from repro.archive.io import set_fsync
 from repro.bench.perf import _timed, is_smoke_mode
@@ -168,29 +169,27 @@ def _bench_ingest(root: Path, dataset: Dataset) -> tuple[ArchiveQuery, dict]:
 
 
 def _bench_equivalence(base_dataset: Dataset, *, rounds: int) -> dict:
-    """Blocked products vs the dense oracle on the *seeded* corpus."""
+    """256-row tiles vs one (n, n) tile on the *seeded* corpus."""
     snapshots = base_dataset.all_snapshots()
-    dense = build_incidence(snapshots)
-    sparse = build_sparse_incidence(snapshots)
+    incidence = build_incidence(snapshots)
+    n = incidence.n_rows
     dense_jaccard_s, dense_jaccard = _timed(
-        lambda: jaccard_distances(dense),
+        lambda: jaccard_distances(incidence, block_rows=n),
         rounds=rounds,
         suite="scale",
         section="dense_jaccard",
     )
     blocked_jaccard_s, blocked_jaccard = _timed(
-        lambda: blocked_jaccard_distances(sparse, block_rows=256),
+        lambda: jaccard_distances(incidence, block_rows=256),
         rounds=rounds,
         suite="scale",
         section="blocked_jaccard",
     )
-    from repro.analysis.incidence import overlap_distances
-    from repro.analysis.sparse import blocked_overlap_distances
-
     jaccard_diff = float(np.abs(dense_jaccard - blocked_jaccard).max())
     overlap_diff = float(
         np.abs(
-            overlap_distances(dense) - blocked_overlap_distances(sparse, block_rows=256)
+            overlap_distances(incidence, block_rows=n)
+            - overlap_distances(incidence, block_rows=256)
         ).max()
     )
     return {
@@ -207,30 +206,28 @@ def _bench_memory(dataset: Dataset) -> dict:
     """Peak-allocation accounting at population scale (tracemalloc)."""
     snapshots = dataset.all_snapshots()
     n = len(snapshots)
-    sparse_peak, sparse = _tracemalloc_peak(
-        lambda: build_sparse_incidence(snapshots)
-    )
-    dense_peak, dense = _tracemalloc_peak(lambda: build_incidence(snapshots))
-    dense_bool_bytes = int(dense.matrix.nbytes)
-    # The dense product path must materialize the float64 incidence for
-    # the matmul; that is the honest storage baseline for the CSR index.
+    sparse_peak, incidence = _tracemalloc_peak(lambda: build_incidence(snapshots))
+    # The one-tile product materializes every row as one float64 slab
+    # for the matmul; that is the honest storage baseline for the CSR
+    # index.
+    dense_peak, _ = _tracemalloc_peak(lambda: incidence.slab(0, n))
+    dense_bool_bytes = n * incidence.n_cols
     dense_float_bytes = dense_bool_bytes * 8
     output_bytes = n * n * 8
-    dense_distance_peak, _ = _tracemalloc_peak(lambda: jaccard_distances(dense))
-    del dense
-    blocked_distance_peak, _ = _tracemalloc_peak(
-        lambda: blocked_jaccard_distances(sparse)
+    dense_distance_peak, _ = _tracemalloc_peak(
+        lambda: jaccard_distances(incidence, block_rows=n)
     )
+    blocked_distance_peak, _ = _tracemalloc_peak(lambda: jaccard_distances(incidence))
     dense_overhead = max(0, dense_distance_peak - output_bytes)
     blocked_overhead = max(0, blocked_distance_peak - output_bytes)
     return {
         "snapshots": n,
-        "universe": sparse.n_cols,
-        "nnz": sparse.nnz,
-        "sparse_bytes": int(sparse.nbytes),
+        "universe": incidence.n_cols,
+        "nnz": incidence.nnz,
+        "sparse_bytes": int(incidence.nbytes),
         "dense_bool_bytes": dense_bool_bytes,
         "dense_float_bytes": dense_float_bytes,
-        "sparse_vs_dense_float": sparse.nbytes / dense_float_bytes,
+        "sparse_vs_dense_float": incidence.nbytes / dense_float_bytes,
         "sparse_build_peak_bytes": int(sparse_peak),
         "dense_build_peak_bytes": int(dense_peak),
         "distance_output_bytes": output_bytes,
@@ -249,8 +246,8 @@ def _bench_landmark_mds(
 ) -> dict:
     """Landmark embed+triangulate vs iteration-matched full SMACOF."""
     snapshots = dataset.all_snapshots()
-    sparse = build_sparse_incidence(snapshots)
-    full_matrix = blocked_jaccard_distances(sparse)
+    incidence = build_incidence(snapshots)
+    full_matrix = jaccard_distances(incidence)
 
     full_s, full_result = _timed(
         lambda: smacof(full_matrix, dims=2, max_iterations=max_iterations),
@@ -260,8 +257,8 @@ def _bench_landmark_mds(
     )
 
     def landmark_pipeline():
-        picked = maxmin_landmarks(sparse, landmarks)
-        cross = cross_distances(sparse, picked)
+        picked = maxmin_landmarks(incidence, landmarks)
+        cross = cross_distances(incidence, picked)
         return landmark_mds(
             cross, picked, dims=2, max_iterations=max_iterations
         )
@@ -277,7 +274,7 @@ def _bench_landmark_mds(
     full_stress1 = kruskal_stress(full_matrix, full_result.embedding)
     landmark_stress1 = kruskal_stress(full_matrix, landmark_result.embedding)
     return {
-        "points": sparse.n_rows,
+        "points": incidence.n_rows,
         "landmarks": landmarks,
         "iterations": max_iterations,
         "full_s": full_s,

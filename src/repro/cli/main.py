@@ -20,7 +20,7 @@ Subcommands map one-to-one onto the paper's experiments::
     repro-roots serve DIR            # batched trust-query daemon over the archive
     repro-roots bench                # perf-regression harness (BENCH_ordination.json)
     repro-roots bench-scale          # population-scale harness (BENCH_scale.json):
-                                     #   synthetic corpus, blocked distances,
+                                     #   synthetic corpus, tiled distances,
                                      #   landmark MDS
     repro-roots archive ...          # on-disk archive: ingest|query|diff|verify|gc|
                                      #   repair|bench|bench-ingest|bench-robustness|
@@ -316,7 +316,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bench_scale = sub.add_parser(
         "bench-scale",
         help="population-scale benchmarks: synthesize + ingest a ≥5k-snapshot "
-        "corpus, blocked-vs-dense distance equivalence and memory, "
+        "corpus, tiled-vs-one-tile distance equivalence and memory, "
         "landmark MDS vs full SMACOF (BENCH_scale.json)",
     )
     bench_scale.add_argument(

@@ -19,8 +19,8 @@ catalog, so generation cost is snapshot assembly, not RSA keygen.
 :func:`synthesize_population` drives the derivative engine over those
 policies and returns a :class:`~repro.store.history.Dataset` combining
 the base corpus with the synthetic providers — tens of thousands of
-snapshots, ready for archive ingest and the sparse analysis substrate
-(:mod:`repro.analysis.sparse`).
+snapshots, ready for archive ingest and the tiled analysis substrate
+(:mod:`repro.analysis.incidence`).
 """
 
 from __future__ import annotations

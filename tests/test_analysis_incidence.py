@@ -1,9 +1,12 @@
-"""Equivalence and property tests for the incidence-matrix substrate.
+"""Equivalence and property tests for the incidence substrate.
 
-The vectorized Jaccard/overlap matrices must match the naive per-pair
-implementation element-wise — these tests are the contract that lets
-``distance_matrix`` route through :mod:`repro.analysis.incidence` while
-keeping the old loop as the oracle behind ``*-naive`` metrics.
+The tiled Jaccard/overlap kernels must match the naive per-pair
+implementation **element-wise exactly**, at every tiling — these tests
+are the contract that lets ``distance_matrix`` route through
+:mod:`repro.analysis.incidence` while keeping the old loop as the
+oracle behind ``*-naive`` metrics.  The CSR representation, the
+degenerate corpora and landmark selection are covered in
+``tests/test_analysis_sparse.py``.
 """
 
 from __future__ import annotations
@@ -18,8 +21,12 @@ from hypothesis import strategies as st
 from repro.analysis import (
     build_incidence,
     collect_snapshots,
+    cross_distances,
     distance_matrix,
+    incidence_from_sets,
+    jaccard_distance,
     jaccard_distances,
+    overlap_distance,
     overlap_distances,
 )
 from repro.analysis.incidence import IncidenceMatrix
@@ -67,7 +74,7 @@ class TestVectorizedEquivalence:
         snapshots = _snapshots_from_subsets(cert_pool, subsets)
         naive = distance_matrix(snapshots, metric="jaccard-naive")
         fast = distance_matrix(snapshots, metric="jaccard")
-        assert np.abs(naive.matrix - fast.matrix).max() <= 1e-12
+        assert np.array_equal(naive.matrix, fast.matrix)
         assert fast.labels == naive.labels
 
     @settings(max_examples=60, deadline=None)
@@ -76,7 +83,7 @@ class TestVectorizedEquivalence:
         snapshots = _snapshots_from_subsets(cert_pool, subsets)
         naive = distance_matrix(snapshots, metric="overlap-naive")
         fast = distance_matrix(snapshots, metric="overlap")
-        assert np.abs(naive.matrix - fast.matrix).max() <= 1e-12
+        assert np.array_equal(naive.matrix, fast.matrix)
 
     def test_all_empty_snapshots(self, cert_pool):
         snapshots = _snapshots_from_subsets(cert_pool, [frozenset(), frozenset()])
@@ -101,11 +108,12 @@ class TestVectorizedEquivalence:
     def test_full_seeded_dataset_identical(self, dataset):
         """The acceptance bar: element-wise identity on the full corpus."""
         snapshots = collect_snapshots(dataset)
-        naive = distance_matrix(snapshots, metric="jaccard-naive")
-        fast = distance_matrix(snapshots, metric="jaccard")
-        assert np.abs(naive.matrix - fast.matrix).max() <= 1e-12
-        assert fast.matrix.dtype == np.float64
-        assert np.array_equal(fast.matrix, fast.matrix.T)
+        for metric in ("jaccard", "overlap"):
+            naive = distance_matrix(snapshots, metric=f"{metric}-naive")
+            fast = distance_matrix(snapshots, metric=metric)
+            assert np.array_equal(naive.matrix, fast.matrix)
+            assert fast.matrix.dtype == np.float64
+            assert np.array_equal(fast.matrix, fast.matrix.T)
 
 
 class TestIncidenceMatrix:
@@ -114,8 +122,8 @@ class TestIncidenceMatrix:
             cert_pool, [frozenset({0, 1}), frozenset({1, 2})]
         )
         incidence = build_incidence(snapshots)
-        assert incidence.matrix.shape == (2, 3)
-        assert incidence.matrix.dtype == bool
+        assert (incidence.n_rows, incidence.n_cols) == (2, 3)
+        assert incidence.nnz == 4
         assert list(incidence.fingerprints) == sorted(incidence.fingerprints)
         assert incidence.set_sizes.tolist() == [2, 2]
 
@@ -134,7 +142,15 @@ class TestIncidenceMatrix:
             IncidenceMatrix(
                 labels=(("p", date(2020, 1, 1), "1"),),
                 fingerprints=("aa", "bb"),
-                matrix=np.zeros((2, 2), dtype=bool),
+                indptr=np.array([0, 1, 2], dtype=np.int64),  # two rows
+                indices=np.array([0, 1], dtype=np.int32),
+            )
+        with pytest.raises(AnalysisError):
+            IncidenceMatrix(
+                labels=(("p", date(2020, 1, 1), "1"),),
+                fingerprints=("aa",),
+                indptr=np.array([0, 1], dtype=np.int64),
+                indices=np.array([1], dtype=np.int32),  # beyond the universe
             )
 
     def test_empty_rejected(self):
@@ -150,6 +166,73 @@ class TestIncidenceMatrix:
             matrix = fn(incidence)
             assert np.array_equal(matrix, matrix.T)
             assert np.allclose(np.diag(matrix), 0.0)
+
+
+def _oracle(sets, pair_fn) -> np.ndarray:
+    """The per-pair loop of ``distance_matrix``'s ``*-naive`` metrics."""
+    n = len(sets)
+    matrix = np.zeros((n, n), dtype=np.float64)
+    for i in range(n):
+        for j in range(i + 1, n):
+            matrix[i, j] = matrix[j, i] = pair_fn(sets[i], sets[j])
+    return matrix
+
+
+_KERNELS = (
+    ("jaccard", jaccard_distances, jaccard_distance),
+    ("overlap", overlap_distances, overlap_distance),
+)
+
+#: Fingerprint-set stand-ins, empty sets included.
+_set_lists = st.lists(
+    st.frozensets(st.sampled_from([f"fp-{i:02d}" for i in range(POOL_SIZE)])),
+    min_size=1,
+    max_size=9,
+)
+
+
+class TestTilingExactness:
+    """Every tiling equals the per-pair oracle bit for bit."""
+
+    def _check(self, sets):
+        labels = [(f"p{i}", date(2020, 1, 1), str(i)) for i in range(len(sets))]
+        incidence = incidence_from_sets(labels, sets)
+        n = incidence.n_rows
+        rows = list(range(0, n, 2))
+        for metric, kernel, pair_fn in _KERNELS:
+            expected = _oracle(sets, pair_fn)
+            for block_rows in (1, 2, 3, 7, n, n + 5):
+                assert np.array_equal(kernel(incidence, block_rows=block_rows), expected)
+                strip = cross_distances(
+                    incidence, rows, metric=metric, block_rows=block_rows
+                )
+                assert np.array_equal(strip, expected[rows])
+
+    @settings(max_examples=60, deadline=None)
+    @given(_set_lists)
+    def test_tiled_kernels_equal_oracle(self, sets):
+        self._check(sets)
+
+    def test_empty_set_conventions(self):
+        self._check([frozenset()])
+        self._check([frozenset()] * 4)
+        self._check([frozenset(), frozenset({"a", "b"}), frozenset(), frozenset({"b"})])
+
+    def test_seeded_corpus_every_tiling(self, dataset):
+        """Tilings agree on the full corpus; ``distance_matrix``'s default
+        tiling is held to the oracle by ``test_full_seeded_dataset_identical``."""
+        snapshots = collect_snapshots(dataset)
+        incidence = build_incidence(snapshots)
+        n = incidence.n_rows
+        for metric, kernel, _ in _KERNELS:
+            expected = distance_matrix(snapshots, metric=metric).matrix
+            for block_rows in (97, n, n + 5):
+                assert np.array_equal(kernel(incidence, block_rows=block_rows), expected)
+
+    def test_block_rows_validated(self):
+        incidence = incidence_from_sets([("p", date(2020, 1, 1), "1")], [frozenset({"a"})])
+        with pytest.raises(AnalysisError):
+            jaccard_distances(incidence, block_rows=0)
 
 
 class TestPurposeValidation:

@@ -9,7 +9,6 @@ from repro.analysis import (
     classical_mds,
     kruskal_stress,
     landmark_mds,
-    select_landmarks,
     smacof,
 )
 from repro.analysis.mds import _cross_point_distances, _pairwise_distances
@@ -205,22 +204,12 @@ class TestLandmarkMDS:
     def _cross_from_points(self, points, landmarks):
         return _cross_point_distances(points[list(landmarks)], points)
 
-    def test_select_landmarks_strided(self):
-        picked = select_landmarks(100, 10)
-        assert len(picked) == 10
-        assert picked == tuple(sorted(set(picked)))
-        assert picked[0] == 0
-        with pytest.raises(AnalysisError):
-            select_landmarks(5, 1)
-        with pytest.raises(AnalysisError):
-            select_landmarks(5, 6)
-
     def test_recovers_euclidean_configuration(self):
         """On Euclidean-consistent input the triangulation is exact, so
         the landmark embedding matches full-pair quality."""
         rng = np.random.default_rng(31)
         points = rng.normal(size=(120, 2))
-        landmarks = select_landmarks(120, 20)
+        landmarks = tuple(range(0, 120, 6))
         cross = self._cross_from_points(points, landmarks)
         result = landmark_mds(cross, landmarks, dims=2, max_iterations=500)
         delta = _distances(points)
@@ -243,7 +232,7 @@ class TestLandmarkMDS:
         """The inner MDSResult obeys the same stress contract."""
         rng = np.random.default_rng(41)
         points = rng.normal(size=(25, 3))
-        landmarks = select_landmarks(25, 8)
+        landmarks = (0, 3, 6, 9, 12, 15, 18, 21)
         cross = self._cross_from_points(points, landmarks)
         result = landmark_mds(cross, landmarks, dims=2, max_iterations=60)
         inner = result.landmark_result
@@ -255,7 +244,7 @@ class TestLandmarkMDS:
     def test_deterministic(self):
         rng = np.random.default_rng(43)
         points = rng.normal(size=(40, 2))
-        landmarks = select_landmarks(40, 10)
+        landmarks = tuple(range(0, 40, 4))
         cross = self._cross_from_points(points, landmarks)
         a = landmark_mds(cross, landmarks)
         b = landmark_mds(cross, landmarks)

@@ -258,32 +258,49 @@ class TestQuery:
         assert archived.labels == live.labels
         assert float(np.abs(archived.matrix - live.matrix).max()) == 0.0
 
-    def test_sparse_incidence_matches_dense(self, query):
+    def test_sparse_incidence_matches_dense(self, dataset, query):
+        """``sparse=`` is ignored: every call gives the one CSR relation,
+        identical to the one built from the live snapshots."""
         import numpy as np
 
+        from repro.analysis import build_incidence, collect_snapshots
+
         since = date(2015, 1, 1)
-        dense = query.incidence(since=since)
-        sparse = query.incidence(since=since, sparse=True)
-        assert sparse.labels == dense.labels
-        assert sparse.fingerprints == dense.fingerprints
-        assert np.array_equal(sparse.to_dense().matrix, dense.matrix)
+        archived = query.incidence(since=since)
+        live = build_incidence(collect_snapshots(dataset, since=since))
+        for incidence in (live, query.incidence(since=since, sparse=True)):
+            assert incidence.labels == archived.labels
+            assert incidence.fingerprints == archived.fingerprints
+            assert np.array_equal(incidence.indptr, archived.indptr)
+            assert np.array_equal(incidence.indices, archived.indices)
         # CSR invariants: monotone row pointers, sorted in-row columns.
-        assert (np.diff(sparse.indptr) >= 0).all()
-        for row in range(min(sparse.n_rows, 5)):
-            columns = sparse.indices[sparse.indptr[row] : sparse.indptr[row + 1]]
+        assert (np.diff(archived.indptr) >= 0).all()
+        for row in range(min(archived.n_rows, 5)):
+            columns = archived.indices[archived.indptr[row] : archived.indptr[row + 1]]
             assert (np.diff(columns) > 0).all()
 
-    def test_blocked_distance_matrix_matches_dense(self, query):
+    def test_blocked_distance_matrix_matches_dense(self, dataset, query):
+        """Archived distances equal the per-pair oracle at any tiling."""
         import numpy as np
 
+        from repro.analysis import (
+            collect_snapshots,
+            distance_matrix,
+            jaccard_distances,
+            overlap_distances,
+        )
+
         since = date(2015, 1, 1)
-        for metric in ("jaccard", "overlap"):
-            dense = query.distance_matrix(metric=metric, since=since)
-            blocked = query.distance_matrix(
-                metric=metric, since=since, blocked=True, block_rows=37
-            )
-            assert blocked.labels == dense.labels
-            assert float(np.abs(blocked.matrix - dense.matrix).max()) == 0.0
+        snapshots = collect_snapshots(dataset, since=since)
+        incidence = query.incidence(since=since)
+        kernels = {"jaccard": jaccard_distances, "overlap": overlap_distances}
+        for metric, kernel in kernels.items():
+            oracle = distance_matrix(snapshots, metric=f"{metric}-naive")
+            archived = query.distance_matrix(metric=metric, since=since)
+            assert archived.labels == oracle.labels
+            assert np.array_equal(archived.matrix, oracle.matrix)
+            for block_rows in (37, incidence.n_rows):
+                assert np.array_equal(kernel(incidence, block_rows=block_rows), oracle.matrix)
 
     def test_warm_queries_hit_caches(self, archive_dir):
         engine = ArchiveQuery(archive_dir)

@@ -23,18 +23,20 @@ from repro.bench.robustness import DAMAGE_OBJECTS, DAMAGE_TMP_FILES
 pytestmark = pytest.mark.chaos  # crashes writers, kills workers
 
 
-@pytest.fixture
-def smoke_env(monkeypatch):
-    monkeypatch.setenv(SMOKE_ENV, "1")
-    # Smoke archives are throwaway; skip the fsync syscalls.
-    monkeypatch.setenv("REPRO_ARCHIVE_FSYNC", "0")
+@pytest.fixture(scope="module")
+def env_smoke_run(dataset, tmp_path_factory):
+    """One env-selected smoke run, shared by the tests that read it."""
+    output = tmp_path_factory.mktemp("robustness") / "BENCH_robustness.json"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv(SMOKE_ENV, "1")
+        # Smoke archives are throwaway; skip the fsync syscalls.
+        patch.setenv("REPRO_ARCHIVE_FSYNC", "0")
+        return run_robustness_suite(dataset, output=output), output
 
 
 class TestRobustnessSmoke:
-    def test_smoke_suite_runs_and_writes(self, smoke_env, dataset, tmp_path):
-        output = tmp_path / "BENCH_robustness.json"
-        suite = run_robustness_suite(dataset, output=output)
-
+    def test_smoke_suite_runs_and_writes(self, env_smoke_run):
+        suite, output = env_smoke_run
         results = suite.results
         assert results["mode"] == "smoke"
         assert set(results) == {
@@ -95,16 +97,15 @@ class TestRobustnessSmoke:
         assert on_disk == results
         assert suite.output_path == output
 
-    def test_summary_lines_render(self, smoke_env, dataset):
-        suite = run_robustness_suite(dataset)
-        lines = suite.summary_lines()
+    def test_summary_lines_render(self, env_smoke_run):
+        lines = env_smoke_run[0].summary_lines()
         assert any("smoke" in line for line in lines)
         assert any("all_converged=True" in line for line in lines)
         assert any("restored=True" in line for line in lines)
-        assert suite.output_path is None
 
     def test_explicit_smoke_overrides_env(self, monkeypatch, dataset):
         monkeypatch.delenv(SMOKE_ENV, raising=False)
         monkeypatch.setenv("REPRO_ARCHIVE_FSYNC", "0")
         suite = run_robustness_suite(dataset, smoke=True)
         assert suite.results["mode"] == "smoke"
+        assert suite.output_path is None

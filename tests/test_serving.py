@@ -181,6 +181,16 @@ class TestBinaryDamage:
         assert name == f"{INDEX_DIR}/{BINARY_FILE}"
         assert "torn" in detail
 
+    def test_nonzero_flags_are_damage(self, damaged_clone):
+        path = binary_index_path(damaged_clone)
+        data = bytearray(path.read_bytes())
+        data[11] ^= 0x01  # the reserved flags field, header bytes 10-11
+        path.write_bytes(bytes(data))
+        _, detail = check_binary_index(damaged_clone)
+        assert "flags" in detail
+        report = verify_archive(damaged_clone)
+        assert any("damaged index file" in line for line in report.problem_lines())
+
     def test_truncated_payload_is_damage(self, damaged_clone):
         path = binary_index_path(damaged_clone)
         path.write_bytes(path.read_bytes()[:-20])
@@ -226,11 +236,6 @@ class TestBinaryDamage:
 #: reproduces.
 LOADER_FUZZ = settings(max_examples=100, deadline=None, derandomize=True)
 
-#: Byte range of the header's reserved ``flags`` field: nothing reads it,
-#: so a flip there is the one change the loader may keep.
-_FLAGS = range(10, 12)
-
-
 def _answers(engine: ArchiveQuery, fingerprints, dates):
     return (
         [engine.trusted_on_many(fingerprints, when) for when in dates],
@@ -273,8 +278,7 @@ class TestLoaderRejectsDamage:
         damaged = bytearray(pristine)
         damaged[offset] ^= mask
         left = self._load_damaged(fuzz_archive, bytes(damaged))
-        if offset not in _FLAGS:
-            assert left == pristine  # rebuilt, not kept
+        assert left == pristine  # rebuilt, not kept
 
     @LOADER_FUZZ
     @given(data=st.data())
