@@ -9,9 +9,11 @@ so repeated sweeps, phased-schedule steps, and baseline re-runs are
 disk reads instead of recomputation.
 
 The cache is strictly an accelerator: entries are keyed by a SHA-256
-the *caller* derives from content hashes, damaged or truncated entries
-read as misses, and ``archive gc``-style deletion of the whole
-directory is always safe.
+the *caller* derives from content hashes, and ``archive gc``-style
+deletion of the whole directory is always safe.  Each entry stores the
+SHA-256 of its JSON payload on a first line, so a damaged or truncated
+entry — even one whose flipped bytes still parse as JSON — reads as a
+miss, never as a plausible wrong value.
 
 Damage **self-heals**: a torn or corrupted entry is not just a miss —
 on first read it is moved into the archive quarantine
@@ -64,7 +66,9 @@ class ResultCache:
     def get(self, key: str):
         """The cached value for ``key``, or None on miss/damage.
 
-        A damaged entry is quarantined on the way out (self-heal): the
+        An entry whose payload does not match its stored checksum is
+        damaged, whether or not its bytes still parse as JSON.  A
+        damaged entry is quarantined on the way out (self-heal): the
         miss triggers a recompute, the recompute's ``put`` writes clean
         bytes, and the broken original is preserved for forensics under
         the archive quarantine instead of shadowing every future read.
@@ -74,11 +78,11 @@ class ResultCache:
             raw = path.read_bytes()
         except OSError:
             return None
-        try:
-            return json.loads(raw)
-        except (ValueError, UnicodeDecodeError):
-            self._quarantine(path)
-            return None  # torn or corrupted entry: treat as a miss
+        checksum, _, payload = raw.partition(b"\n")
+        if checksum == hashlib.sha256(payload).hexdigest().encode():
+            return json.loads(payload)
+        self._quarantine(path)
+        return None  # torn or corrupted entry: treat as a miss
 
     def _quarantine(self, path: Path) -> None:
         # Lazy import: repair is a higher layer (it imports the catalog
@@ -97,7 +101,8 @@ class ResultCache:
         """Store ``value`` (JSON-serializable) under ``key`` atomically."""
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        data = json.dumps(value, sort_keys=True, separators=(",", ":")).encode()
+        payload = json.dumps(value, sort_keys=True, separators=(",", ":")).encode()
+        data = hashlib.sha256(payload).hexdigest().encode() + b"\n" + payload
         atomic_write_bytes(path, data, site=f"cache.{self.namespace}.put")
 
     def __contains__(self, key: str) -> bool:

@@ -1,31 +1,24 @@
-"""Performance-regression harness.
+"""Benchmark suites behind the committed ``BENCH_*.json`` files.
 
-:mod:`repro.bench.perf` times the hot paths this repository promises to
-keep fast — vectorized distance matrices, SMACOF, interned certificate
-parsing, parallel collection — and serializes the measurements to
-``BENCH_ordination.json`` so future changes have a trajectory to not
-regress.  Reachable three ways: the ``repro-roots bench`` CLI
-subcommand, ``benchmarks/bench_perf.py`` under pytest-benchmark, and a
-tier-1 smoke test (``REPRO_BENCH_SMOKE=1``) that keeps the harness from
-rotting.
+Each suite module measures one layer and declares its gate tables;
+:mod:`repro.bench.harness` is the one scaffold they share (smoke
+switch, dataset resolution, timing, gates, writer).  Reachable three
+ways: the ``repro-roots`` bench subcommands, ``benchmarks/bench_suites.py``
+under pytest-benchmark, and tier-1 smoke tests (``REPRO_BENCH_SMOKE=1``)
+that keep every harness from rotting.
 """
 
-from repro.bench.archive import ArchiveSuite, run_archive_suite
-from repro.bench.ingest import IngestSuite, run_ingest_suite
-from repro.bench.perf import PerfSuite, is_smoke_mode, run_perf_suite
-from repro.bench.robustness import RobustnessSuite, run_robustness_suite
-from repro.bench.scale import ScaleSuite, run_scale_suite
-from repro.bench.scenario import ScenarioSuite, run_scenario_suite
-from repro.bench.serving import ServingSuite, run_serving_suite
+from repro.bench.archive import run_archive_suite
+from repro.bench.harness import BenchResult, is_smoke_mode
+from repro.bench.ingest import run_ingest_suite
+from repro.bench.perf import run_perf_suite
+from repro.bench.robustness import run_robustness_suite
+from repro.bench.scale import run_scale_suite
+from repro.bench.scenario import run_scenario_suite
+from repro.bench.serving import run_serving_suite
 
 __all__ = [
-    "ArchiveSuite",
-    "IngestSuite",
-    "PerfSuite",
-    "RobustnessSuite",
-    "ScaleSuite",
-    "ScenarioSuite",
-    "ServingSuite",
+    "BenchResult",
     "is_smoke_mode",
     "run_archive_suite",
     "run_ingest_suite",

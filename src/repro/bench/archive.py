@@ -14,84 +14,85 @@ indexed disk reads, so the suite times both sides of that trade:
   check against the live dataset.
 - **scrape_analyze**: the path the archive replaces — publish + scrape
   every provider and compute the distance matrix from scratch.  The
-  committed floor (``benchmarks/bench_perf.py``) demands the warm query
-  batch beat this by ≥ 10x.
+  full-mode floor demands the warm query batch beat this by ≥ 10x.
 - **distance**: the archive-backed distance matrix vs. the live one
-  (must agree element-wise) and what it costs from manifests alone.
+  (must agree exactly) and what it costs from manifests alone.
 - **verify**: the full integrity pass, which must report a healthy
   archive.
 
-Like :mod:`repro.bench.perf`, wall clock is the measurand here, and
-``REPRO_BENCH_SMOKE=1`` shrinks everything to ride inside tier-1.
+``REPRO_BENCH_SMOKE=1`` shrinks the corpus to ride inside tier-1.
 """
 
 from __future__ import annotations
 
-import json
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from repro.analysis.jaccard import collect_snapshots, distance_matrix
 from repro.archive import Archive, ArchiveQuery, ingest_dataset, verify_archive
-from repro.bench.perf import _timed, is_smoke_mode
+from repro.bench.harness import (
+    BenchResult,
+    Gate,
+    SuiteSpec,
+    ratio,
+    resolve_dataset,
+    resolve_smoke,
+    timed,
+)
 from repro.collection.publish import publish_history
 from repro.collection.scrape import scrape_history
-from repro.store.history import Dataset, StoreHistory
+from repro.store.history import Dataset
 
-#: Smoke trims: providers kept, snapshots per provider, queries issued.
-SMOKE_PROVIDERS = 2
-SMOKE_SNAPSHOTS_PER_PROVIDER = 6
 #: How many (fingerprint, date) probes the query batch issues.
 QUERY_BATCH = 16
 
 
-@dataclass(frozen=True)
-class ArchiveSuite:
-    """One run of the archive harness: results plus output location."""
-
-    results: dict
-    output_path: Path | None
-
-    def summary_lines(self) -> list[str]:
-        r = self.results
-        return [
-            f"mode                : {r['mode']} ({r['snapshots']} snapshots, "
-            f"{r['providers']} providers)",
-            f"cold ingest         : {r['ingest']['cold_s']:.4f} s "
-            f"({r['ingest']['objects_written']} objects, "
-            f"{r['ingest']['manifests_written']} manifests)",
-            f"re-ingest           : {r['ingest']['reingest_s']:.4f} s "
-            f"(idempotent={r['ingest']['idempotent']})",
-            f"query cold          : {r['query']['cold_s']:.4f} s "
-            f"({r['query']['batch']} point-in-time lookups)",
-            f"query warm          : {r['query']['warm_s']:.6f} s "
-            f"({r['query']['per_query_us']:.0f} us/query, "
-            f"{r['query']['warm_speedup']:.1f}x over cold)",
-            f"scrape+analyze      : {r['scrape_analyze']['total_s']:.4f} s "
-            f"(the path the archive replaces)",
-            f"warm query vs scrape: {r['query']['speedup_vs_scrape']:.0f}x",
-            f"reconstruct cold    : {r['reconstruct']['cold_s']:.4f} s "
-            f"({r['reconstruct']['snapshots']} snapshots, "
-            f"identical={r['reconstruct']['identical']})",
-            f"reconstruct warm    : {r['reconstruct']['warm_s']:.4f} s "
-            f"({r['reconstruct']['warm_speedup']:.1f}x)",
-            f"archive distance    : {r['distance']['archive_s']:.4f} s "
-            f"(max |diff| vs live {r['distance']['max_abs_diff']:.2e})",
-            f"verify              : {r['verify']['verify_s']:.4f} s "
-            f"(ok={r['verify']['ok']})",
-        ]
+def _summary_lines(r: dict) -> list[str]:
+    return [
+        f"mode                : {r['mode']} ({r['snapshots']} snapshots, "
+        f"{r['providers']} providers)",
+        f"cold ingest         : {r['ingest']['cold_s']:.4f} s "
+        f"({r['ingest']['objects_written']} objects, "
+        f"{r['ingest']['manifests_written']} manifests)",
+        f"re-ingest           : {r['ingest']['reingest_s']:.4f} s "
+        f"(idempotent={r['ingest']['idempotent']})",
+        f"query cold          : {r['query']['cold_s']:.4f} s "
+        f"({r['query']['batch']} point-in-time lookups)",
+        f"query warm          : {r['query']['warm_s']:.6f} s "
+        f"({r['query']['per_query_us']:.0f} us/query, "
+        f"{r['query']['warm_speedup']:.1f}x over cold)",
+        f"scrape+analyze      : {r['scrape_analyze']['total_s']:.4f} s "
+        f"(the path the archive replaces)",
+        f"warm query vs scrape: {r['query']['speedup_vs_scrape']:.0f}x",
+        f"reconstruct cold    : {r['reconstruct']['cold_s']:.4f} s "
+        f"({r['reconstruct']['snapshots']} snapshots, "
+        f"identical={r['reconstruct']['identical']})",
+        f"reconstruct warm    : {r['reconstruct']['warm_s']:.4f} s "
+        f"({r['reconstruct']['warm_speedup']:.1f}x)",
+        f"archive distance    : {r['distance']['archive_s']:.4f} s "
+        f"(max |diff| vs live {r['distance']['max_abs_diff']:.2e})",
+        f"verify              : {r['verify']['verify_s']:.4f} s "
+        f"(ok={r['verify']['ok']})",
+    ]
 
 
-def _smoke_dataset(dataset: Dataset) -> Dataset:
-    """A tiny sub-corpus: the first providers, a few snapshots each."""
-    trimmed = Dataset()
-    for provider in dataset.providers[:SMOKE_PROVIDERS]:
-        snapshots = list(dataset[provider].snapshots)[:SMOKE_SNAPSHOTS_PER_PROVIDER]
-        trimmed.add_history(StoreHistory(provider, snapshots=snapshots))
-    return trimmed
+SUITE = SuiteSpec(
+    render=_summary_lines,
+    gates=(
+        Gate("ingest.idempotent", "==", True, "re-ingesting unchanged data writes nothing"),
+        Gate("reconstruct.identical", "==", True, "rebuilt snapshots equal the live ones"),
+        Gate("distance.max_abs_diff", "==", 0.0, "archive distance matrix equals the live one"),
+        Gate("distance.labels_match", "==", True, "archive matrix has the live row labels"),
+        Gate("verify.ok", "==", True, "archive verify reports a healthy archive"),
+    ),
+    floors=(
+        Gate("query.speedup_vs_scrape", ">=", 10.0, "warm query batch vs scrape+analyze"),
+        Gate("query.warm_speedup", ">=", 2.0, "LRU-warm vs cold query batch"),
+        Gate("reconstruct.warm_speedup", ">=", 2.0, "cache-warm vs cold reconstruction"),
+    ),
+)
 
 
 def _query_batch(query: ArchiveQuery, size: int) -> list[tuple[str, object]]:
@@ -118,11 +119,11 @@ def _bench_ingest(archive_root: Path, dataset: Dataset, *, rounds: int) -> dict:
         target = Archive(archive_root / f"cold-{next(counter)}", create=True)
         return target, ingest_dataset(target, dataset)
 
-    cold_s, (archive, report) = _timed(
+    cold_s, (archive, report) = timed(
         cold, rounds=rounds, suite="archive", section="ingest_cold"
     )
     hash_before = archive.catalog_hash()
-    reingest_s, reingest = _timed(
+    reingest_s, reingest = timed(
         lambda: ingest_dataset(archive, dataset),
         rounds=1,
         suite="archive",
@@ -151,7 +152,7 @@ def _bench_query(archive: Archive, *, rounds: int) -> dict:
         return [query.trusted_on(fp, when) for fp, when in probes]
 
     # Cold: a fresh engine per round — index load plus first-touch I/O.
-    cold_s, _ = _timed(
+    cold_s, _ = timed(
         lambda: run(ArchiveQuery(archive)),
         rounds=rounds,
         suite="archive",
@@ -160,7 +161,7 @@ def _bench_query(archive: Archive, *, rounds: int) -> dict:
     # Warm: one engine, caches populated by a priming pass.
     engine = ArchiveQuery(archive)
     run(engine)
-    warm_s, observations = _timed(
+    warm_s, observations = timed(
         lambda: run(engine), rounds=max(rounds, 3), suite="archive", section="query_warm"
     )
     return engine, {
@@ -168,7 +169,7 @@ def _bench_query(archive: Archive, *, rounds: int) -> dict:
         "cold_s": cold_s,
         "warm_s": warm_s,
         "per_query_us": warm_s / len(probes) * 1e6,
-        "warm_speedup": cold_s / warm_s if warm_s > 0 else float("inf"),
+        "warm_speedup": ratio(cold_s, warm_s),
         "answers": sum(len(obs) for obs in observations),
     }
 
@@ -184,7 +185,7 @@ def _bench_scrape_analyze(dataset: Dataset, *, rounds: int) -> dict:
             )
         return distance_matrix(collect_snapshots(collected))
 
-    total_s, _ = _timed(run, rounds=rounds, suite="archive", section="scrape_analyze")
+    total_s, _ = timed(run, rounds=rounds, suite="archive", section="scrape_analyze")
     return {"total_s": total_s}
 
 
@@ -192,7 +193,7 @@ def _bench_reconstruct(archive: Archive, dataset: Dataset, *, rounds: int) -> di
     def run(query: ArchiveQuery) -> Dataset:
         return query.dataset()
 
-    cold_s, _ = _timed(
+    cold_s, _ = timed(
         lambda: run(ArchiveQuery(archive)),
         rounds=rounds,
         suite="archive",
@@ -200,7 +201,7 @@ def _bench_reconstruct(archive: Archive, dataset: Dataset, *, rounds: int) -> di
     )
     engine = ArchiveQuery(archive)
     run(engine)
-    warm_s, rebuilt = _timed(
+    warm_s, rebuilt = timed(
         lambda: run(engine), rounds=rounds, suite="archive", section="reconstruct_warm"
     )
     identical = all(
@@ -211,7 +212,7 @@ def _bench_reconstruct(archive: Archive, dataset: Dataset, *, rounds: int) -> di
         "snapshots": rebuilt.total_snapshots(),
         "cold_s": cold_s,
         "warm_s": warm_s,
-        "warm_speedup": cold_s / warm_s if warm_s > 0 else float("inf"),
+        "warm_speedup": ratio(cold_s, warm_s),
         "identical": identical,
     }
 
@@ -220,7 +221,7 @@ def _bench_distance(
     engine: ArchiveQuery, dataset: Dataset, *, rounds: int
 ) -> dict:
     live = distance_matrix(collect_snapshots(dataset))
-    archive_s, archived = _timed(
+    archive_s, archived = timed(
         lambda: engine.distance_matrix(),
         rounds=rounds,
         suite="archive",
@@ -234,7 +235,7 @@ def _bench_distance(
 
 
 def _bench_verify(archive: Archive) -> dict:
-    verify_s, report = _timed(
+    verify_s, report = timed(
         lambda: verify_archive(archive), rounds=1, suite="archive", section="verify"
     )
     return {
@@ -249,34 +250,20 @@ def run_archive_suite(
     dataset: Dataset | None = None,
     *,
     smoke: bool | None = None,
-    rounds: int | None = None,
+    rounds: int = 1,
     output: Path | str | None = None,
-) -> ArchiveSuite:
+) -> BenchResult:
     """Run every archive section and optionally write ``BENCH_archive.json``."""
-    if smoke is None:
-        smoke = is_smoke_mode()
-    if rounds is None:
-        rounds = 1
-    if dataset is None:
-        from repro.simulation import default_corpus
-
-        dataset = default_corpus().dataset
-    if smoke:
-        dataset = _smoke_dataset(dataset)
+    smoke = resolve_smoke(smoke)
+    dataset = resolve_dataset(dataset, smoke=smoke)
 
     with tempfile.TemporaryDirectory(prefix="repro-archive-bench-") as tmp:
         root = Path(tmp)
         archive, ingest = _bench_ingest(root, dataset, rounds=rounds)
         engine, query = _bench_query(archive, rounds=rounds)
         scrape_analyze = _bench_scrape_analyze(dataset, rounds=rounds)
-        query["speedup_vs_scrape"] = (
-            scrape_analyze["total_s"] / query["warm_s"]
-            if query["warm_s"] > 0
-            else float("inf")
-        )
+        query["speedup_vs_scrape"] = ratio(scrape_analyze["total_s"], query["warm_s"])
         results = {
-            "schema": 1,
-            "mode": "smoke" if smoke else "full",
             "snapshots": dataset.total_snapshots(),
             "providers": len(dataset.providers),
             "ingest": ingest,
@@ -286,8 +273,4 @@ def run_archive_suite(
             "distance": _bench_distance(engine, dataset, rounds=rounds),
             "verify": _bench_verify(archive),
         }
-
-    output_path = Path(output) if output is not None else None
-    if output_path is not None:
-        output_path.write_text(json.dumps(results, indent=2) + "\n")
-    return ArchiveSuite(results=results, output_path=output_path)
+    return SUITE.finish(results, smoke=smoke, output=output)

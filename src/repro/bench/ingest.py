@@ -12,57 +12,68 @@ that trade directly:
   all-but-one tag per origin — only the newest tag per origin is
   scraped, and the index is patched in place.
 
-The committed floor (``benchmarks/bench_ingest.py``) demands the delta
-cycle beat the full cycle by ≥ 10x.  Correctness gates are enforced in
+The full-mode floor demands the delta cycle beat the full cycle by
+≥ 10x.  Correctness gates are enforced in
 *every* mode: the delta-maintained archive must converge to the same
 catalog hash — and byte-identical persisted index — as the
 from-scratch one, verify clean, and have ingested exactly one tag per
 origin.
 
-Like the sibling suites, wall clock is the measurand here and
 ``REPRO_BENCH_SMOKE=1`` shrinks the corpus to ride inside tier-1.
 """
 
 from __future__ import annotations
 
-import json
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 
 from repro.archive import Archive, verify_archive
 from repro.archive.binindex import binary_index_path, read_binary_index
-from repro.bench.archive import _smoke_dataset
-from repro.bench.perf import _timed, is_smoke_mode
+from repro.bench.harness import (
+    BenchResult,
+    Gate,
+    SuiteSpec,
+    ratio,
+    resolve_dataset,
+    resolve_smoke,
+    timed,
+)
 from repro.collection.faults import SimulatedClock
 from repro.collection.watch import Watcher, build_watch_world
 from repro.store.history import Dataset
 
-#: The floor the committed benchmark enforces in full mode.
-MIN_DELTA_SPEEDUP = 10.0
+
+def _summary_lines(r: dict) -> list[str]:
+    return [
+        f"mode            : {r['mode']} ({r['origins']} origins)",
+        f"full ingest     : {r['full']['total_s']:.4f} s "
+        f"({r['full']['snapshots']} snapshots)",
+        f"delta ingest    : {r['delta']['total_s']:.4f} s "
+        f"({r['delta']['snapshots']} snapshots, one tag per origin)",
+        f"speedup         : {r['speedup']:.1f}x "
+        f"(floor {r['floor']['min_speedup']:.0f}x, met={r['floor']['met']})",
+        f"convergence     : catalog_match={r['correctness']['catalog_match']}, "
+        f"index_identical={r['correctness']['index_identical']}, "
+        f"verify_ok={r['correctness']['verify_ok']}",
+    ]
 
 
-@dataclass(frozen=True)
-class IngestSuite:
-    """One run of the incremental-ingest harness."""
-
-    results: dict
-    output_path: Path | None
-
-    def summary_lines(self) -> list[str]:
-        r = self.results
-        return [
-            f"mode            : {r['mode']} ({r['origins']} origins)",
-            f"full ingest     : {r['full']['total_s']:.4f} s "
-            f"({r['full']['snapshots']} snapshots)",
-            f"delta ingest    : {r['delta']['total_s']:.4f} s "
-            f"({r['delta']['snapshots']} snapshots, one tag per origin)",
-            f"speedup         : {r['speedup']:.1f}x "
-            f"(floor {r['floor']['min_speedup']:.0f}x, met={r['floor']['met']})",
-            f"convergence     : catalog_match={r['correctness']['catalog_match']}, "
-            f"index_identical={r['correctness']['index_identical']}, "
-            f"verify_ok={r['correctness']['verify_ok']}",
-        ]
+SUITE = SuiteSpec(
+    render=_summary_lines,
+    gates=(
+        Gate("correctness.catalog_match", "==", True, "delta lands on the full catalog hash"),
+        Gate("correctness.index_identical", "==", True, "delta trust.bin is byte-identical"),
+        Gate("correctness.index_fresh", "==", True, "delta trust.bin is pinned to the catalog"),
+        Gate("correctness.verify_ok", "==", True, "the delta archive verifies clean"),
+        Gate("correctness.delta_is_one_tag_per_origin", "==", True, "one new tag per origin"),
+    ),
+    floors=(
+        Gate(
+            "speedup", ">=", 10.0, "one-tag-per-origin delta cycle vs a full ingest",
+            record=("floor", "min_speedup", "met"),
+        ),
+    ),
+)
 
 
 def _index_bytes(archive: Archive) -> bytes:
@@ -101,25 +112,17 @@ def run_ingest_suite(
     dataset: Dataset | None = None,
     *,
     smoke: bool | None = None,
-    rounds: int | None = None,
+    rounds: int = 1,
     output: Path | str | None = None,
-) -> IngestSuite:
+) -> BenchResult:
     """Run both sides and optionally write ``BENCH_ingest.json``."""
-    if smoke is None:
-        smoke = is_smoke_mode()
-    if rounds is None:
-        rounds = 1
-    if dataset is None:
-        from repro.simulation import default_corpus
-
-        dataset = default_corpus().dataset
-    if smoke:
-        dataset = _smoke_dataset(dataset)
+    smoke = resolve_smoke(smoke)
+    dataset = resolve_dataset(dataset, smoke=smoke)
 
     with tempfile.TemporaryDirectory(prefix="repro-ingest-bench-") as tmp:
         root = Path(tmp)
         counter = iter(range(1_000_000))
-        full_s, (full_archive, full_cycle) = _timed(
+        full_s, (full_archive, full_cycle) = timed(
             lambda: _full_cycle(root, dataset, index=next(counter)),
             rounds=rounds,
             suite="ingest",
@@ -135,7 +138,7 @@ def run_ingest_suite(
             watcher = Watcher(archive, world.origins, clock=SimulatedClock())
             return archive, watcher.run_cycle()
 
-        delta_s, (delta_archive, delta_cycle_result) = _timed(
+        delta_s, (delta_archive, delta_cycle_result) = timed(
             delta_cycle, rounds=rounds, suite="ingest", section="delta"
         )
 
@@ -148,25 +151,15 @@ def run_ingest_suite(
             "delta_is_one_tag_per_origin": delta_cycle_result.snapshots_ingested
             == origins,
         }
-        speedup = full_s / delta_s if delta_s > 0 else float("inf")
         results = {
-            "schema": 1,
-            "mode": "smoke" if smoke else "full",
             "origins": origins,
             "full": {"total_s": full_s, "snapshots": full_cycle.snapshots_ingested},
             "delta": {
                 "total_s": delta_s,
                 "snapshots": delta_cycle_result.snapshots_ingested,
             },
-            "speedup": speedup,
-            "floor": {
-                "min_speedup": MIN_DELTA_SPEEDUP,
-                "met": speedup >= MIN_DELTA_SPEEDUP,
-            },
+            "speedup": ratio(full_s, delta_s),
+            "floor": {},  # the floor's bound and verdict, filled in by finish
             "correctness": correctness,
         }
-
-    output_path = Path(output) if output is not None else None
-    if output_path is not None:
-        output_path.write_text(json.dumps(results, indent=2) + "\n")
-    return IngestSuite(results=results, output_path=output_path)
+    return SUITE.finish(results, smoke=smoke, output=output)

@@ -5,7 +5,7 @@ guard:
 
 - **distance**: full-dataset Jaccard distance matrix, naive per-pair
   loop vs. the tiled incidence kernel, with the element-wise
-  maximum deviation between the two (must be ~0).
+  maximum deviation between the two (must be exactly 0).
 - **mds**: SMACOF stress-majorization on that matrix (the Figure 1
   embedding), whose per-iteration distance computation uses the Gram
   formulation.
@@ -19,29 +19,30 @@ guard:
   the hardware gives; real scraping is network-bound, which is what the
   worker pool is shaped for.
 
-Timing uses ``time.perf_counter`` — the bench layer is the one place
-the repository's "no wall-clock" rule does not apply, because wall
-clock *is* the measurand.  ``REPRO_BENCH_SMOKE=1`` switches every
-consumer to a tiny snapshot subset and a single round, cheap enough to
-ride inside the tier-1 test run.
+``REPRO_BENCH_SMOKE=1`` switches to a tiny snapshot subset, cheap
+enough to ride inside the tier-1 test run.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import time
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
 from repro.analysis.jaccard import collect_snapshots, distance_matrix
 from repro.analysis.mds import smacof
+from repro.bench.harness import (
+    BenchResult,
+    Gate,
+    SuiteSpec,
+    ratio,
+    resolve_dataset,
+    resolve_smoke,
+    timed,
+)
 from repro.collection.publish import publish_history
 from repro.collection.scrape import scrape_history
-from repro.obs.instrument import set_gauge
 from repro.store.history import Dataset
 from repro.x509.certificate import (
     Certificate,
@@ -49,90 +50,62 @@ from repro.x509.certificate import (
     clear_certificate_intern_pool,
 )
 
-#: Environment toggle: tiny dataset, one round — wired into tier-1.
-SMOKE_ENV = "REPRO_BENCH_SMOKE"
 #: How many snapshots the smoke subset keeps.
 SMOKE_SNAPSHOTS = 12
 #: How many providers the smoke scrape section visits.
 SMOKE_PROVIDERS = 1
 
 
-def is_smoke_mode() -> bool:
-    """Whether the environment requests the cheap smoke configuration."""
-    return os.environ.get(SMOKE_ENV, "") == "1"
+def _summary_lines(r: dict) -> list[str]:
+    return [
+        f"mode                : {r['mode']} ({r['snapshots']} snapshots)",
+        f"distance naive      : {r['distance']['naive_s']:.4f} s",
+        f"distance vectorized : {r['distance']['vectorized_s']:.4f} s "
+        f"({r['distance']['speedup']:.1f}x, max |diff| "
+        f"{r['distance']['max_abs_diff']:.2e})",
+        f"smacof              : {r['mds']['smacof_s']:.4f} s "
+        f"({r['mds']['iterations']} iterations, stress {r['mds']['stress']:.2f})",
+        f"parse fresh         : {r['intern']['fresh_s']:.4f} s "
+        f"({r['intern']['certificates']} certificates)",
+        f"parse interned      : {r['intern']['interned_s']:.4f} s "
+        f"({r['intern']['speedup']:.1f}x, {r['intern']['unique']} unique, "
+        f"hit rate {r['intern']['hit_rate']:.0%})",
+        f"scrape serial       : {r['scrape']['serial_s']:.4f} s "
+        f"({r['scrape']['providers']} providers, {r['scrape']['tags']} tags)",
+        f"scrape workers={r['scrape']['workers']}    : "
+        f"{r['scrape']['parallel_s']:.4f} s "
+        f"({r['scrape']['speedup']:.2f}x, identical={r['scrape']['identical']})",
+        f"scrape @{r['scrape']['latency_ms']:.0f}ms origin : "
+        f"{r['scrape']['latent_serial_s']:.4f} s serial, "
+        f"{r['scrape']['latent_parallel_s']:.4f} s parallel "
+        f"({r['scrape']['latent_speedup']:.2f}x)",
+    ]
 
 
-@dataclass(frozen=True)
-class PerfSuite:
-    """One run of the harness: the result dict plus output location."""
-
-    results: dict
-    output_path: Path | None
-
-    def summary_lines(self) -> list[str]:
-        """Human-readable rendering for the CLI."""
-        r = self.results
-        lines = [
-            f"mode                : {r['mode']} ({r['snapshots']} snapshots)",
-            f"distance naive      : {r['distance']['naive_s']:.4f} s",
-            f"distance vectorized : {r['distance']['vectorized_s']:.4f} s "
-            f"({r['distance']['speedup']:.1f}x, max |diff| "
-            f"{r['distance']['max_abs_diff']:.2e})",
-            f"smacof              : {r['mds']['smacof_s']:.4f} s "
-            f"({r['mds']['iterations']} iterations, stress {r['mds']['stress']:.2f})",
-            f"parse fresh         : {r['intern']['fresh_s']:.4f} s "
-            f"({r['intern']['certificates']} certificates)",
-            f"parse interned      : {r['intern']['interned_s']:.4f} s "
-            f"({r['intern']['speedup']:.1f}x, {r['intern']['unique']} unique, "
-            f"hit rate {r['intern']['hit_rate']:.0%})",
-            f"scrape serial       : {r['scrape']['serial_s']:.4f} s "
-            f"({r['scrape']['providers']} providers, {r['scrape']['tags']} tags)",
-            f"scrape workers={r['scrape']['workers']}    : "
-            f"{r['scrape']['parallel_s']:.4f} s "
-            f"({r['scrape']['speedup']:.2f}x, identical={r['scrape']['identical']})",
-            f"scrape @{r['scrape']['latency_ms']:.0f}ms origin : "
-            f"{r['scrape']['latent_serial_s']:.4f} s serial, "
-            f"{r['scrape']['latent_parallel_s']:.4f} s parallel "
-            f"({r['scrape']['latent_speedup']:.2f}x)",
-        ]
-        return lines
-
-
-def _timed(
-    fn: Callable[[], object],
-    *,
-    rounds: int,
-    suite: str | None = None,
-    section: str | None = None,
-) -> tuple[float, object]:
-    """Best-of-``rounds`` wall time plus the last return value.
-
-    When ``suite``/``section`` are given, the best time is also
-    recorded in the active telemetry registry as the
-    ``repro_bench_section_seconds`` gauge, so bench runs surface
-    through ``obs report`` exactly like production timings.
-    """
-    best = float("inf")
-    value: object = None
-    for _ in range(max(rounds, 1)):
-        start = time.perf_counter()
-        value = fn()
-        best = min(best, time.perf_counter() - start)
-    if section is not None:
-        set_gauge(
-            "repro_bench_section_seconds", best, suite=suite or "bench", section=section
-        )
-    return best, value
+SUITE = SuiteSpec(
+    render=_summary_lines,
+    gates=(
+        Gate("distance.max_abs_diff", "==", 0.0, "tiled kernel equals the per-pair oracle"),
+        Gate("scrape.identical", "==", True, "parallel scrape reproduces the serial one"),
+    ),
+    floors=(
+        Gate("distance.speedup", ">=", 10.0, "tiled distance kernel vs the per-pair loop"),
+        Gate("intern.speedup", ">=", 2.0, "interned vs fresh certificate parsing"),
+        # Under the GIL threads cannot speed up the in-memory parse, so
+        # only the latency-shaped (network-like) scrape is floored.
+        Gate("scrape.latent_speedup", ">=", 1.5, "workers=4 vs serial against a latent origin"),
+    ),
+)
 
 
 def _bench_distance(snapshots, *, rounds: int) -> dict:
-    naive_s, naive = _timed(
+    naive_s, naive = timed(
         lambda: distance_matrix(snapshots, metric="jaccard-naive"),
         rounds=rounds,
         suite="perf",
         section="distance_naive",
     )
-    vectorized_s, vectorized = _timed(
+    vectorized_s, vectorized = timed(
         lambda: distance_matrix(snapshots, metric="jaccard"),
         rounds=rounds,
         suite="perf",
@@ -142,14 +115,14 @@ def _bench_distance(snapshots, *, rounds: int) -> dict:
     return {
         "naive_s": naive_s,
         "vectorized_s": vectorized_s,
-        "speedup": naive_s / vectorized_s if vectorized_s > 0 else float("inf"),
+        "speedup": ratio(naive_s, vectorized_s),
         "max_abs_diff": max_abs_diff,
         "matrix": vectorized.matrix,  # handed to the MDS section, stripped on dump
     }
 
 
 def _bench_mds(matrix: np.ndarray, *, rounds: int) -> dict:
-    smacof_s, result = _timed(
+    smacof_s, result = timed(
         lambda: smacof(matrix, dims=2), rounds=rounds, suite="perf", section="mds_smacof"
     )
     return {
@@ -177,15 +150,15 @@ def _bench_intern(snapshots, *, rounds: int) -> dict:
         clear_certificate_intern_pool()
         return [Certificate.from_der(der, intern=True) for der in ders]
 
-    fresh_s, _ = _timed(fresh, rounds=rounds, suite="perf", section="intern_fresh")
-    interned_s, _ = _timed(interned, rounds=rounds, suite="perf", section="intern_interned")
+    fresh_s, _ = timed(fresh, rounds=rounds, suite="perf", section="intern_fresh")
+    interned_s, _ = timed(interned, rounds=rounds, suite="perf", section="intern_interned")
     stats = certificate_intern_stats()
     return {
         "certificates": len(ders),
         "unique": unique,
         "fresh_s": fresh_s,
         "interned_s": interned_s,
-        "speedup": fresh_s / interned_s if interned_s > 0 else float("inf"),
+        "speedup": ratio(fresh_s, interned_s),
         "hit_rate": stats.hit_rate,
     }
 
@@ -247,17 +220,17 @@ def _bench_scrape(
             for p in providers
         }
 
-    serial_s, serial = _timed(
+    serial_s, serial = timed(
         lambda: run(1), rounds=rounds, suite="perf", section="scrape_serial"
     )
-    parallel_s, parallel = _timed(
+    parallel_s, parallel = timed(
         lambda: run(workers), rounds=rounds, suite="perf", section="scrape_parallel"
     )
     latency_s = latency_ms / 1000.0
-    latent_serial_s, _ = _timed(
+    latent_serial_s, _ = timed(
         lambda: run(1, latency_s), rounds=rounds, suite="perf", section="scrape_latent_serial"
     )
-    latent_parallel_s, latent = _timed(
+    latent_parallel_s, latent = timed(
         lambda: run(workers, latency_s),
         rounds=rounds,
         suite="perf",
@@ -273,13 +246,11 @@ def _bench_scrape(
         "workers": workers,
         "serial_s": serial_s,
         "parallel_s": parallel_s,
-        "speedup": serial_s / parallel_s if parallel_s > 0 else float("inf"),
+        "speedup": ratio(serial_s, parallel_s),
         "latency_ms": latency_ms,
         "latent_serial_s": latent_serial_s,
         "latent_parallel_s": latent_parallel_s,
-        "latent_speedup": (
-            latent_serial_s / latent_parallel_s if latent_parallel_s > 0 else float("inf")
-        ),
+        "latent_speedup": ratio(latent_serial_s, latent_parallel_s),
         "identical": identical,
     }
 
@@ -289,24 +260,16 @@ def run_perf_suite(
     *,
     smoke: bool | None = None,
     workers: int = 4,
-    rounds: int | None = None,
+    rounds: int = 1,
     output: Path | str | None = None,
-) -> PerfSuite:
+) -> BenchResult:
     """Run every section and optionally write ``BENCH_ordination.json``.
 
-    ``smoke=None`` reads :data:`SMOKE_ENV`; smoke mode trims the
-    snapshot set to :data:`SMOKE_SNAPSHOTS`, visits one provider in the
-    scrape section, and runs one round.
+    Smoke mode trims the snapshot set to :data:`SMOKE_SNAPSHOTS` and
+    visits one provider in the scrape section.
     """
-    if smoke is None:
-        smoke = is_smoke_mode()
-    if rounds is None:
-        rounds = 1
-    if dataset is None:
-        from repro.simulation import default_corpus
-
-        dataset = default_corpus().dataset
-
+    smoke = resolve_smoke(smoke)
+    dataset = resolve_dataset(dataset, smoke=smoke, trim=False)
     snapshots = collect_snapshots(dataset)
     providers = list(dataset.providers)
     if smoke:
@@ -316,8 +279,6 @@ def run_perf_suite(
     distance = _bench_distance(snapshots, rounds=rounds)
     matrix = distance.pop("matrix")
     results = {
-        "schema": 1,
-        "mode": "smoke" if smoke else "full",
         "snapshots": len(snapshots),
         "distance": distance,
         "mds": _bench_mds(matrix, rounds=rounds),
@@ -333,8 +294,4 @@ def run_perf_suite(
             latency_ms=1.0 if smoke else 15.0,
         ),
     }
-
-    output_path = Path(output) if output is not None else None
-    if output_path is not None:
-        output_path.write_text(json.dumps(results, indent=2) + "\n")
-    return PerfSuite(results=results, output_path=output_path)
+    return SUITE.finish(results, smoke=smoke, output=output)

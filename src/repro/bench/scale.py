@@ -2,8 +2,8 @@
 
 ROADMAP item 1: grow the corpus 10–100× (synthetic derivative
 populations) and keep the analysis substrate alive out-of-core.  This
-suite measures — and ``benchmarks/bench_scale.py`` floors — the three
-claims that make that real:
+suite measures — and floors, in full mode — the three claims that make
+that real:
 
 - **population + ingest**: synthesize a ≥5k-snapshot derivative
   population deterministically (no new certificate minting) and ingest
@@ -19,17 +19,13 @@ claims that make that real:
   staying within stress tolerance of it on the full-matrix Kruskal
   stress-1.
 
-Wall clock is the measurand (this is the bench layer, exempt from the
-no-wall-clock rule) and ``REPRO_BENCH_SMOKE=1`` shrinks everything to
-ride inside tier-1.
+``REPRO_BENCH_SMOKE=1`` shrinks everything to ride inside tier-1.
 """
 
 from __future__ import annotations
 
-import json
 import tempfile
 import tracemalloc
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -45,7 +41,15 @@ from repro.analysis.incidence import (
 from repro.analysis.mds import kruskal_stress, landmark_mds, smacof
 from repro.archive import Archive, ArchiveQuery, ingest_dataset
 from repro.archive.io import set_fsync
-from repro.bench.perf import _timed, is_smoke_mode
+from repro.bench.harness import (
+    BenchResult,
+    Gate,
+    SuiteSpec,
+    ratio,
+    resolve_smoke,
+    smoke_dataset,
+    timed,
+)
 from repro.simulation import (
     PopulationSpec,
     default_corpus,
@@ -69,42 +73,52 @@ SMOKE_LANDMARKS = 8
 SMOKE_MDS_ITERATIONS = 12
 
 
-@dataclass(frozen=True)
-class ScaleSuite:
-    """One run of the scale harness: results plus output location."""
+def _summary_lines(r: dict) -> list[str]:
+    pop, ing = r["population"], r["ingest"]
+    eq, mem, mds = r["equivalence"], r["memory"], r["landmark_mds"]
+    return [
+        f"mode                : {r['mode']}",
+        f"population          : {pop['synthesize_s']:.2f} s "
+        f"({pop['providers']} synthetic providers, "
+        f"{pop['total_snapshots']} snapshots total)",
+        f"ingest              : {ing['ingest_s']:.2f} s "
+        f"({ing['snapshots_added']} snapshots, "
+        f"{ing['manifests_written']} manifests, "
+        f"archived={ing['archived_snapshots']})",
+        f"blocked == dense    : max |diff| {eq['max_abs_diff']:.2e} "
+        f"at {eq['snapshots']} snapshots (jaccard + overlap)",
+        f"sparse index        : {mem['sparse_bytes'] / 1e6:.2f} MB vs "
+        f"{mem['dense_float_bytes'] / 1e6:.2f} MB dense float64 "
+        f"({mem['sparse_vs_dense_float']:.2f}x)",
+        f"distance overhead   : blocked {mem['blocked_overhead_bytes'] / 1e6:.1f} MB "
+        f"vs dense {mem['dense_overhead_bytes'] / 1e6:.1f} MB beyond the "
+        f"output ({mem['overhead_ratio']:.1f}x smaller)",
+        f"full smacof         : {mds['full_s']:.2f} s "
+        f"({mds['points']} points, {mds['iterations']} iteration cap, "
+        f"stress1 {mds['full_stress1']:.4f})",
+        f"landmark mds        : {mds['landmark_s']:.2f} s "
+        f"({mds['landmarks']} landmarks, {mds['speedup']:.1f}x, "
+        f"stress1 {mds['landmark_stress1']:.4f}, "
+        f"excess {mds['stress1_excess']:+.4f})",
+    ]
 
-    results: dict
-    output_path: Path | None
 
-    def summary_lines(self) -> list[str]:
-        r = self.results
-        pop, ing = r["population"], r["ingest"]
-        eq, mem, mds = r["equivalence"], r["memory"], r["landmark_mds"]
-        return [
-            f"mode                : {r['mode']}",
-            f"population          : {pop['synthesize_s']:.2f} s "
-            f"({pop['providers']} synthetic providers, "
-            f"{pop['total_snapshots']} snapshots total)",
-            f"ingest              : {ing['ingest_s']:.2f} s "
-            f"({ing['snapshots_added']} snapshots, "
-            f"{ing['manifests_written']} manifests, "
-            f"archived={ing['archived_snapshots']})",
-            f"blocked == dense    : max |diff| {eq['max_abs_diff']:.2e} "
-            f"at {eq['snapshots']} snapshots (jaccard + overlap)",
-            f"sparse index        : {mem['sparse_bytes'] / 1e6:.2f} MB vs "
-            f"{mem['dense_float_bytes'] / 1e6:.2f} MB dense float64 "
-            f"({mem['sparse_vs_dense_float']:.2f}x)",
-            f"distance overhead   : blocked {mem['blocked_overhead_bytes'] / 1e6:.1f} MB "
-            f"vs dense {mem['dense_overhead_bytes'] / 1e6:.1f} MB beyond the "
-            f"output ({mem['overhead_ratio']:.1f}x smaller)",
-            f"full smacof         : {mds['full_s']:.2f} s "
-            f"({mds['points']} points, {mds['iterations']} iteration cap, "
-            f"stress1 {mds['full_stress1']:.4f})",
-            f"landmark mds        : {mds['landmark_s']:.2f} s "
-            f"({mds['landmarks']} landmarks, {mds['speedup']:.1f}x, "
-            f"stress1 {mds['landmark_stress1']:.4f}, "
-            f"excess {mds['stress1_excess']:+.4f})",
-        ]
+SUITE = SuiteSpec(
+    render=_summary_lines,
+    gates=(
+        Gate("equivalence.max_abs_diff", "==", 0.0, "256-row tiles equal one (n, n) tile"),
+        Gate("ingest.round_trip_complete", "==", True, "the whole population is archived"),
+        Gate("landmark_mds.landmark_stress1", "<", 1.0, "the landmark embedding is not noise"),
+    ),
+    floors=(
+        Gate("population.total_snapshots", ">=", FULL_TARGET_SNAPSHOTS, "population size"),
+        Gate("ingest.archived_snapshots", ">=", FULL_TARGET_SNAPSHOTS, "archived population"),
+        Gate("memory.sparse_vs_dense_float", "<=", 0.5, "CSR vs dense float64 incidence bytes"),
+        Gate("memory.overhead_ratio", ">=", 8.0, "one-tile vs tiled peak beyond the output"),
+        Gate("landmark_mds.speedup", ">=", 10.0, "landmark MDS vs iteration-matched SMACOF"),
+        Gate("landmark_mds.stress1_excess", "<=", 0.15, "landmark vs full SMACOF stress-1"),
+    ),
+)
 
 
 def _tracemalloc_peak(fn: Callable[[], object]) -> tuple[int, object]:
@@ -120,12 +134,11 @@ def _tracemalloc_peak(fn: Callable[[], object]) -> tuple[int, object]:
 
 
 def _bench_population(
-    corpus, *, providers: int, rounds: int, include_base: bool = True
+    corpus, *, providers: int, include_base: bool
 ) -> tuple[Dataset, dict]:
     spec = PopulationSpec(providers=providers)
-    synthesize_s, dataset = _timed(
+    synthesize_s, dataset = timed(
         lambda: synthesize_population(corpus, spec, include_base=include_base),
-        rounds=rounds,
         suite="scale",
         section="population_synthesize",
     )
@@ -140,13 +153,12 @@ def _bench_population(
     }
 
 
-def _bench_ingest(root: Path, dataset: Dataset) -> tuple[ArchiveQuery, dict]:
+def _bench_ingest(root: Path, dataset: Dataset) -> dict:
     archive = Archive(root / "scale-archive", create=True)
     previous = set_fsync(False)  # measure ingest work, not disk sync policy
     try:
-        ingest_s, report = _timed(
+        ingest_s, report = timed(
             lambda: ingest_dataset(archive, dataset),
-            rounds=1,
             suite="scale",
             section="ingest",
         )
@@ -156,7 +168,7 @@ def _bench_ingest(root: Path, dataset: Dataset) -> tuple[ArchiveQuery, dict]:
     archived = sum(
         len(query.index.timeline(provider)) for provider in query.providers
     )
-    return query, {
+    return {
         "ingest_s": ingest_s,
         "snapshots_seen": report.snapshots_seen,
         "snapshots_added": report.snapshots_added,
@@ -168,20 +180,18 @@ def _bench_ingest(root: Path, dataset: Dataset) -> tuple[ArchiveQuery, dict]:
     }
 
 
-def _bench_equivalence(base_dataset: Dataset, *, rounds: int) -> dict:
+def _bench_equivalence(base_dataset: Dataset) -> dict:
     """256-row tiles vs one (n, n) tile on the *seeded* corpus."""
     snapshots = base_dataset.all_snapshots()
     incidence = build_incidence(snapshots)
     n = incidence.n_rows
-    dense_jaccard_s, dense_jaccard = _timed(
+    dense_jaccard_s, dense_jaccard = timed(
         lambda: jaccard_distances(incidence, block_rows=n),
-        rounds=rounds,
         suite="scale",
         section="dense_jaccard",
     )
-    blocked_jaccard_s, blocked_jaccard = _timed(
+    blocked_jaccard_s, blocked_jaccard = timed(
         lambda: jaccard_distances(incidence, block_rows=256),
-        rounds=rounds,
         suite="scale",
         section="blocked_jaccard",
     )
@@ -235,9 +245,7 @@ def _bench_memory(dataset: Dataset) -> dict:
         "blocked_distance_peak_bytes": int(blocked_distance_peak),
         "dense_overhead_bytes": int(dense_overhead),
         "blocked_overhead_bytes": int(blocked_overhead),
-        "overhead_ratio": (
-            dense_overhead / blocked_overhead if blocked_overhead > 0 else float("inf")
-        ),
+        "overhead_ratio": ratio(dense_overhead, blocked_overhead),
     }
 
 
@@ -249,9 +257,8 @@ def _bench_landmark_mds(
     incidence = build_incidence(snapshots)
     full_matrix = jaccard_distances(incidence)
 
-    full_s, full_result = _timed(
+    full_s, full_result = timed(
         lambda: smacof(full_matrix, dims=2, max_iterations=max_iterations),
-        rounds=1,
         suite="scale",
         section="mds_full",
     )
@@ -263,9 +270,8 @@ def _bench_landmark_mds(
             cross, picked, dims=2, max_iterations=max_iterations
         )
 
-    landmark_s, landmark_result = _timed(
-        lambda: landmark_pipeline(),
-        rounds=1,
+    landmark_s, landmark_result = timed(
+        landmark_pipeline,
         suite="scale",
         section="mds_landmark",
     )
@@ -279,7 +285,7 @@ def _bench_landmark_mds(
         "iterations": max_iterations,
         "full_s": full_s,
         "landmark_s": landmark_s,
-        "speedup": full_s / landmark_s if landmark_s > 0 else float("inf"),
+        "speedup": ratio(full_s, landmark_s),
         "full_stress1": full_stress1,
         "landmark_stress1": landmark_stress1,
         "landmark_cross_stress1": landmark_result.cross_stress1,
@@ -293,61 +299,40 @@ def run_scale_suite(
     providers: int | None = None,
     landmarks: int | None = None,
     output: Path | str | None = None,
-) -> ScaleSuite:
+) -> BenchResult:
     """Run every section and optionally write ``BENCH_scale.json``.
 
-    ``smoke=None`` reads ``REPRO_BENCH_SMOKE``; smoke mode synthesizes
-    a 3-provider tail, runs the same end-to-end path (population →
-    ingest → equivalence → memory → landmark MDS) on it, and leaves the
-    floor-checking to full mode.
+    Smoke mode synthesizes a 3-provider tail and runs the same
+    end-to-end path (population → ingest → equivalence → memory →
+    landmark MDS) on it, leaving the floors to full mode.
     """
-    if smoke is None:
-        smoke = is_smoke_mode()
+    smoke = resolve_smoke(smoke)
     if providers is None:
         providers = SMOKE_PROVIDERS if smoke else FULL_PROVIDERS
     if landmarks is None:
         landmarks = SMOKE_LANDMARKS if smoke else FULL_LANDMARKS
     max_iterations = SMOKE_MDS_ITERATIONS if smoke else FULL_MDS_ITERATIONS
-    rounds = 1
 
     corpus = default_corpus()
     dataset, population = _bench_population(
         # Smoke skips the 649 base snapshots so the ingest stays cheap
         # enough to ride inside tier-1; full mode ingests base + tail.
-        corpus, providers=providers, rounds=rounds, include_base=not smoke
+        corpus, providers=providers, include_base=not smoke
     )
     with tempfile.TemporaryDirectory(prefix="repro-bench-scale-") as tmp:
-        _, ingest = _bench_ingest(Path(tmp), dataset)
+        ingest = _bench_ingest(Path(tmp), dataset)
 
-    base = corpus.dataset
-    if smoke:
-        # Equivalence on a trimmed seeded corpus keeps smoke cheap.
-        from repro.store.history import StoreHistory
-
-        trimmed = Dataset()
-        for provider in base.providers[:3]:
-            trimmed.add_history(
-                StoreHistory(provider, snapshots=list(base[provider].snapshots)[:8])
-            )
-        base = trimmed
-        mds_dataset = base
-    else:
-        mds_dataset = dataset
-
+    # Smoke runs equivalence and ordination on a trimmed seeded corpus.
+    base = smoke_dataset(corpus.dataset, 3, 8) if smoke else corpus.dataset
+    mds_dataset = base if smoke else dataset
     results = {
-        "schema": 1,
-        "mode": "smoke" if smoke else "full",
         "target_snapshots": 0 if smoke else FULL_TARGET_SNAPSHOTS,
         "population": population,
         "ingest": ingest,
-        "equivalence": _bench_equivalence(base, rounds=rounds),
+        "equivalence": _bench_equivalence(base),
         "memory": _bench_memory(mds_dataset),
         "landmark_mds": _bench_landmark_mds(
             mds_dataset, landmarks=landmarks, max_iterations=max_iterations
         ),
     }
-
-    output_path = Path(output) if output is not None else None
-    if output_path is not None:
-        output_path.write_text(json.dumps(results, indent=2) + "\n")
-    return ScaleSuite(results=results, output_path=output_path)
+    return SUITE.finish(results, smoke=smoke, output=output)

@@ -9,10 +9,10 @@ measures both levers against the Symantec phased-removal scenario:
   ``workers=4``.  Snapshot access is given a fixed simulated fetch
   latency per cell (the same latent-origin device as the collection
   benches — this container has one CPU, so the I/O-bound shape is what
-  a pool can actually overlap), and the committed floor demands ≥ 2x.
+  a pool can actually overlap), and the full-mode floor demands ≥ 2x.
 - **cold vs warm**: the same sweep against an empty result cache and
   again once every cell is cached.  Warm cells skip validation *and*
-  the simulated fetch, so the committed floor demands ≥ 5x.
+  the simulated fetch, so the full-mode floor demands ≥ 5x.
 
 Correctness gates run in every mode: serial, parallel, cold, and warm
 sweeps must produce byte-identical canonical run JSON, the warm sweep
@@ -25,28 +25,21 @@ ride inside tier-1.
 
 from __future__ import annotations
 
-import json
 import tempfile
-from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
 
 from repro.archive.manifest import Archive
 from repro.archive.ingest import ingest_dataset
-from repro.bench.perf import _timed, is_smoke_mode
+from repro.bench.harness import BenchResult, Gate, SuiteSpec, ratio, resolve_smoke, timed
 from repro.scenario.engine import ScenarioEngine
 from repro.scenario.impact import population_impact
 from repro.scenario.model import ChainSpec, Scenario
 from repro.scenario.report import run_to_json
 from repro.simulation.incidents import symantec_phased_scenario
 
-#: Floors the committed benchmark enforces in full mode.
-MIN_PARALLEL_SPEEDUP = 2.0
-MIN_WARM_SPEEDUP = 5.0
-
 #: Pool size of the parallel side (the floor is defined at 4 workers).
 PARALLEL_WORKERS = 4
-
 #: Simulated per-cell snapshot fetch latency.  Full mode uses 300 ms —
 #: enough for the overlapped fetches to dominate the pool's fixed costs
 #: (forking a large heap, each worker loading its own archive index)
@@ -70,36 +63,50 @@ _DATES_FULL = (
 _DATES_SMOKE = (date(2020, 5, 1), date(2020, 6, 1), date(2021, 1, 15))
 
 
-@dataclass(frozen=True)
-class ScenarioSuite:
-    """One run of the scenario-engine harness."""
+def _summary_lines(r: dict) -> list[str]:
+    return [
+        f"mode            : {r['mode']} ({r['grid']['cells']} cells, "
+        f"{r['grid']['chains']} chains, fetch latency "
+        f"{r['grid']['fetch_latency_s'] * 1000:.0f} ms)",
+        f"serial sweep    : {r['serial']['total_s']:.4f} s",
+        f"parallel sweep  : {r['parallel']['total_s']:.4f} s "
+        f"({r['parallel']['workers']} workers)",
+        f"parallel speedup: {r['parallel']['speedup']:.2f}x "
+        f"(floor {r['floor']['min_parallel_speedup']:.0f}x, "
+        f"met={r['floor']['parallel_met']})",
+        f"cold sweep      : {r['cold']['total_s']:.4f} s",
+        f"warm sweep      : {r['warm']['total_s']:.4f} s "
+        f"({r['warm']['cache_hits']} cache hits)",
+        f"warm speedup    : {r['warm']['speedup']:.2f}x "
+        f"(floor {r['floor']['min_warm_speedup']:.0f}x, "
+        f"met={r['floor']['warm_met']})",
+        f"determinism     : serial==parallel="
+        f"{r['correctness']['serial_parallel_identical']}, cold==warm="
+        f"{r['correctness']['cold_warm_identical']}, "
+        f"impact_nonzero={r['correctness']['impact_nonzero']}",
+    ]
 
-    results: dict
-    output_path: Path | None
 
-    def summary_lines(self) -> list[str]:
-        r = self.results
-        return [
-            f"mode            : {r['mode']} ({r['grid']['cells']} cells, "
-            f"{r['grid']['chains']} chains, fetch latency "
-            f"{r['grid']['fetch_latency_s'] * 1000:.0f} ms)",
-            f"serial sweep    : {r['serial']['total_s']:.4f} s",
-            f"parallel sweep  : {r['parallel']['total_s']:.4f} s "
-            f"({r['parallel']['workers']} workers)",
-            f"parallel speedup: {r['parallel']['speedup']:.2f}x "
-            f"(floor {r['floor']['min_parallel_speedup']:.0f}x, "
-            f"met={r['floor']['parallel_met']})",
-            f"cold sweep      : {r['cold']['total_s']:.4f} s",
-            f"warm sweep      : {r['warm']['total_s']:.4f} s "
-            f"({r['warm']['cache_hits']} cache hits)",
-            f"warm speedup    : {r['warm']['speedup']:.2f}x "
-            f"(floor {r['floor']['min_warm_speedup']:.0f}x, "
-            f"met={r['floor']['warm_met']})",
-            f"determinism     : serial==parallel="
-            f"{r['correctness']['serial_parallel_identical']}, cold==warm="
-            f"{r['correctness']['cold_warm_identical']}, "
-            f"impact_nonzero={r['correctness']['impact_nonzero']}",
-        ]
+SUITE = SuiteSpec(
+    render=_summary_lines,
+    gates=(
+        Gate("correctness.serial_parallel_identical", "==", True, "pool sweep == serial sweep"),
+        Gate("correctness.cold_warm_identical", "==", True, "cached sweep == computed sweep"),
+        Gate("correctness.serial_cold_identical", "==", True, "cached engine == uncached"),
+        Gate("correctness.warm_all_hits", "==", True, "warm sweep is all cache hits"),
+        Gate("correctness.impact_nonzero", "==", True, "the final removal breaks someone"),
+    ),
+    floors=(
+        Gate(
+            "parallel.speedup", ">=", 2.0, "4-worker pool vs serial when fetches dominate",
+            record=("floor", "min_parallel_speedup", "parallel_met"),
+        ),
+        Gate(
+            "warm.speedup", ">=", 5.0, "warm vs cold result cache",
+            record=("floor", "min_warm_speedup", "warm_met"),
+        ),
+    ),
+)
 
 
 def _bench_scenario(smoke: bool) -> Scenario:
@@ -135,14 +142,11 @@ def run_scenario_suite(
     corpus=None,
     *,
     smoke: bool | None = None,
-    rounds: int | None = None,
+    rounds: int = 1,
     output: Path | str | None = None,
-) -> ScenarioSuite:
+) -> BenchResult:
     """Run all four sweeps and optionally write ``BENCH_scenario.json``."""
-    if smoke is None:
-        smoke = is_smoke_mode()
-    if rounds is None:
-        rounds = 1
+    smoke = resolve_smoke(smoke)
     if corpus is None:
         from repro.simulation import default_corpus
 
@@ -166,7 +170,7 @@ def run_scenario_suite(
 
         serial_engine = engine(workers=1, use_cache=False)
         serial_engine.compile(scenario)  # warm the mint memo off the clock
-        serial_s, serial_run = _timed(
+        serial_s, serial_run = timed(
             lambda: serial_engine.run(scenario),
             rounds=rounds,
             suite="scenario",
@@ -175,7 +179,7 @@ def run_scenario_suite(
 
         parallel_engine = engine(workers=PARALLEL_WORKERS, use_cache=False)
         parallel_engine.compile(scenario)
-        parallel_s, parallel_run = _timed(
+        parallel_s, parallel_run = timed(
             lambda: parallel_engine.run(scenario),
             rounds=rounds,
             suite="scenario",
@@ -189,10 +193,10 @@ def run_scenario_suite(
             cached_engine.cache.clear()
             return cached_engine.run(scenario)
 
-        cold_s, cold_run = _timed(
+        cold_s, cold_run = timed(
             cold_sweep, rounds=rounds, suite="scenario", section="cold"
         )
-        warm_s, warm_run = _timed(
+        warm_s, warm_run = timed(
             lambda: cached_engine.run(scenario),
             rounds=rounds,
             suite="scenario",
@@ -212,11 +216,7 @@ def run_scenario_suite(
             "warm_all_hits": warm_run.stats.cache_hits == warm_run.stats.cells,
             "impact_nonzero": impact_nonzero,
         }
-        parallel_speedup = serial_s / parallel_s if parallel_s > 0 else float("inf")
-        warm_speedup = cold_s / warm_s if warm_s > 0 else float("inf")
         results = {
-            "schema": 1,
-            "mode": "smoke" if smoke else "full",
             "grid": {
                 "providers": list(serial_run.providers),
                 "dates": [d.isoformat() for d in serial_run.dates],
@@ -228,24 +228,15 @@ def run_scenario_suite(
             "parallel": {
                 "total_s": parallel_s,
                 "workers": PARALLEL_WORKERS,
-                "speedup": parallel_speedup,
+                "speedup": ratio(serial_s, parallel_s),
             },
             "cold": {"total_s": cold_s, "cache_misses": cold_run.stats.cache_misses},
             "warm": {
                 "total_s": warm_s,
                 "cache_hits": warm_run.stats.cache_hits,
-                "speedup": warm_speedup,
+                "speedup": ratio(cold_s, warm_s),
             },
-            "floor": {
-                "min_parallel_speedup": MIN_PARALLEL_SPEEDUP,
-                "parallel_met": parallel_speedup >= MIN_PARALLEL_SPEEDUP,
-                "min_warm_speedup": MIN_WARM_SPEEDUP,
-                "warm_met": warm_speedup >= MIN_WARM_SPEEDUP,
-            },
+            "floor": {},  # the floors' bounds and verdicts, filled in by finish
             "correctness": correctness,
         }
-
-    output_path = Path(output) if output is not None else None
-    if output_path is not None:
-        output_path.write_text(json.dumps(results, indent=2) + "\n")
-    return ScenarioSuite(results=results, output_path=output_path)
+    return SUITE.finish(results, smoke=smoke, output=output)

@@ -5,7 +5,7 @@ The serving layer exists for two measurable promises:
 - **cold start**: opening the persisted index (``trust.bin``) is a
   header read, an mmap and one payload checksum, not the manifest scan
   of :func:`~repro.archive.index.build_index` that is the only other
-  way to get an index — the committed floor demands ≥ 10x.
+  way to get an index — the full-mode floor demands ≥ 10x.
 - **serving overhead**: a batched daemon round trip must stay within
   5x of the same warm in-process ``trusted_on_many`` batch — the
   price of HTTP + JSON + process hop, amortized by batching.
@@ -20,87 +20,99 @@ and the query surface (``trusted_on_many`` across every archived date,
 provider × date) must be element-wise identical between the mapped
 file and an engine over ``index_loader=build_index``.
 
-Like the sibling suites, wall clock is the measurand here and
 ``REPRO_BENCH_SMOKE=1`` shrinks the corpus and ladder to ride inside
 tier-1.
 """
 
 from __future__ import annotations
 
-import json
 import tempfile
 import threading
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 from repro.archive import Archive, ingest_dataset
 from repro.archive.binindex import read_binary_index
 from repro.archive.index import build_index
 from repro.archive.query import ArchiveQuery
-from repro.bench.archive import _smoke_dataset
-from repro.bench.perf import _timed, is_smoke_mode
+from repro.bench.harness import (
+    BenchResult,
+    Gate,
+    SuiteSpec,
+    percentile,
+    ratio,
+    resolve_dataset,
+    resolve_smoke,
+    timed,
+)
 from repro.serving import ServingClient, ServingConfig, ServingDaemon, worker_rss_bytes
 from repro.store.history import Dataset
-
-#: Committed floors (asserted by ``benchmarks/bench_serving.py``).
-MIN_COLD_SPEEDUP = 10.0
-MAX_DAEMON_OVERHEAD = 5.0
 
 #: The concurrency ladder (≥ 3 levels, per the acceptance criteria).
 CONCURRENCY_LEVELS = (1, 2, 4)
 
 
-@dataclass(frozen=True)
-class ServingSuite:
-    """One run of the serving harness."""
-
-    results: dict
-    output_path: Path | None
-
-    def summary_lines(self) -> list[str]:
-        r = self.results
-        lines = [
-            f"mode            : {r['mode']} ({r['providers']} providers, "
-            f"{r['fingerprints']} fingerprints)",
-            f"cold start      : rebuild {r['cold_start']['rebuild_s'] * 1e3:.2f} ms, "
-            f"binary {r['cold_start']['binary_s'] * 1e3:.3f} ms "
-            f"({r['cold_start']['speedup']:.0f}x, floor "
-            f"{r['cold_start']['floor']['min_speedup']:.0f}x, "
-            f"met={r['cold_start']['floor']['met']})",
-            f"equivalence     : identical={r['equivalence']['ok']} "
-            f"({r['equivalence']['trusted_on_checked']} trusted_on dates, "
-            f"{r['equivalence']['ever_shipped_checked']} fingerprints)",
-            f"warm in-process : {r['warm']['per_fp_us']:.2f} us/fingerprint "
-            f"(batch {r['warm']['batch']})",
-            f"daemon          : {r['daemon']['workers']} workers, "
-            f"startup {r['daemon']['startup_s'] * 1e3:.0f} ms, "
-            f"rss/worker {_fmt_rss(r['daemon']['rss_bytes_per_worker'])}",
-        ]
-        for level in r["daemon"]["levels"]:
-            lines.append(
-                f"  c={level['concurrency']:<2d}          : "
-                f"p50 {level['p50_ms']:.2f} ms, p99 {level['p99_ms']:.2f} ms, "
-                f"{level['throughput_rps']:.0f} req/s "
-                f"({level['per_fp_us']:.2f} us/fingerprint)"
-            )
-        overhead = r["daemon"]["overhead"]
+def _summary_lines(r: dict) -> list[str]:
+    lines = [
+        f"mode            : {r['mode']} ({r['providers']} providers, "
+        f"{r['fingerprints']} fingerprints)",
+        f"cold start      : rebuild {r['cold_start']['rebuild_s'] * 1e3:.2f} ms, "
+        f"binary {r['cold_start']['binary_s'] * 1e3:.3f} ms "
+        f"({r['cold_start']['speedup']:.0f}x, floor "
+        f"{r['cold_start']['floor']['min_speedup']:.0f}x, "
+        f"met={r['cold_start']['floor']['met']})",
+        f"equivalence     : identical={r['equivalence']['ok']} "
+        f"({r['equivalence']['trusted_on_checked']} trusted_on dates, "
+        f"{r['equivalence']['ever_shipped_checked']} fingerprints)",
+        f"warm in-process : {r['warm']['per_fp_us']:.2f} us/fingerprint "
+        f"(batch {r['warm']['batch']})",
+        f"daemon          : {r['daemon']['workers']} workers, "
+        f"startup {r['daemon']['startup_s'] * 1e3:.0f} ms, "
+        f"rss/worker {_fmt_rss(r['daemon']['rss_bytes_per_worker'])}",
+    ]
+    for level in r["daemon"]["levels"]:
         lines.append(
-            f"daemon overhead : {overhead['ratio']:.2f}x warm in-process "
-            f"(floor {overhead['floor']['max_ratio']:.0f}x, "
-            f"met={overhead['floor']['met']})"
+            f"  c={level['concurrency']:<2d}          : "
+            f"p50 {level['p50_ms']:.2f} ms, p99 {level['p99_ms']:.2f} ms, "
+            f"{level['throughput_rps']:.0f} req/s "
+            f"({level['per_fp_us']:.2f} us/fingerprint)"
         )
-        return lines
+    overhead = r["daemon"]["overhead"]
+    lines.append(
+        f"daemon overhead : {overhead['ratio']:.2f}x warm in-process "
+        f"(floor {overhead['floor']['max_ratio']:.0f}x, "
+        f"met={overhead['floor']['met']})"
+    )
+    return lines
+
+
+SUITE = SuiteSpec(
+    render=_summary_lines,
+    gates=(
+        Gate("equivalence.index_identical", "==", True, "trust.bin decodes to the rebuild"),
+        Gate("equivalence.trusted_on_identical", "==", True, "trusted_on_many matches"),
+        Gate("equivalence.ever_shipped_identical", "==", True, "ever_shipped matches"),
+        Gate("equivalence.in_force_identical", "==", True, "in-force resolution matches"),
+        Gate("equivalence.ok", "==", True, "trust.bin answers exactly like a manifest rebuild"),
+        Gate("daemon.levels.2.concurrency", ">=", 1, "the ladder has at least three levels"),
+    ),
+    floors=(
+        Gate(
+            "cold_start.speedup", ">=", 10.0, "mapping trust.bin vs rebuilding from manifests",
+            record=("cold_start.floor", "min_speedup", "met"),
+        ),
+        # Like with like: one daemon batch at concurrency 1 vs. the same
+        # warm in-process batch.
+        Gate(
+            "daemon.overhead.ratio", "<=", 5.0, "daemon round trip vs warm in-process batch",
+            record=("daemon.overhead.floor", "max_ratio", "met"),
+        ),
+    ),
+)
 
 
 def _fmt_rss(value) -> str:
     return f"{value / 1e6:.1f} MB" if value else "n/a"
-
-
-def _percentile(values: list[float], q: float) -> float:
-    ordered = sorted(values)
-    k = min(len(ordered) - 1, round(q * (len(ordered) - 1)))
-    return ordered[k]
 
 
 def _probe_space(query: ArchiveQuery) -> tuple[list[str], list]:
@@ -119,7 +131,7 @@ def _probe_space(query: ArchiveQuery) -> tuple[list[str], list]:
 def _bench_cold_start(archive: Archive, *, rounds: int) -> dict:
     """Rebuild-from-manifests vs. map-the-binary, best of ``rounds`` each."""
     catalog_hash = archive.catalog_hash()
-    rebuild_s, _ = _timed(
+    rebuild_s, _ = timed(
         lambda: build_index(archive),
         rounds=rounds,
         suite="serving",
@@ -132,15 +144,13 @@ def _bench_cold_start(archive: Archive, *, rounds: int) -> dict:
         index.close()
         return index
 
-    binary_s, _ = _timed(
+    binary_s, _ = timed(
         open_binary, rounds=rounds, suite="serving", section="cold_binary"
     )
-    speedup = rebuild_s / binary_s if binary_s > 0 else float("inf")
     return {
         "rebuild_s": rebuild_s,
         "binary_s": binary_s,
-        "speedup": speedup,
-        "floor": {"min_speedup": MIN_COLD_SPEEDUP, "met": speedup >= MIN_COLD_SPEEDUP},
+        "speedup": ratio(rebuild_s, binary_s),
     }
 
 
@@ -190,7 +200,7 @@ def _bench_warm(archive: Archive, batch: list[str], dates, *, iters: int) -> dic
         start = time.perf_counter()
         engine.trusted_on_many(batch, when)
         latencies.append(time.perf_counter() - start)
-    p50 = _percentile(latencies, 0.50)
+    p50 = percentile(latencies, 0.50)
     return {
         "batch": len(batch),
         "iters": iters,
@@ -232,13 +242,13 @@ def _drive_level(
     wall = time.perf_counter() - wall_start
 
     flat = [latency for per_client in latencies for latency in per_client]
-    p50 = _percentile(flat, 0.50)
+    p50 = percentile(flat, 0.50)
     return {
         "concurrency": concurrency,
         "requests": len(flat),
         "batch": batch,
         "p50_ms": p50 * 1e3,
-        "p99_ms": _percentile(flat, 0.99) * 1e3,
+        "p99_ms": percentile(flat, 0.99) * 1e3,
         "per_fp_us": p50 / batch * 1e6,
         "throughput_rps": len(flat) / wall if wall > 0 else float("inf"),
     }
@@ -283,25 +293,12 @@ def _bench_daemon(
         ]
     finally:
         daemon.stop()
-    # The overhead floor compares like with like: one daemon batch at
-    # concurrency 1 vs. the same warm in-process batch.
-    ratio = (
-        levels[0]["p50_ms"] / 1e3 / warm_batch_p50_s
-        if warm_batch_p50_s > 0
-        else float("inf")
-    )
     return {
         "workers": workers,
         "startup_s": startup_s,
         "rss_bytes_per_worker": max(rss_known) if rss_known else None,
         "levels": levels,
-        "overhead": {
-            "ratio": ratio,
-            "floor": {
-                "max_ratio": MAX_DAEMON_OVERHEAD,
-                "met": ratio <= MAX_DAEMON_OVERHEAD,
-            },
-        },
+        "overhead": {"ratio": ratio(levels[0]["p50_ms"] / 1e3, warm_batch_p50_s)},
     }
 
 
@@ -312,18 +309,15 @@ def run_serving_suite(
     rounds: int | None = None,
     workers: int = 2,
     output: Path | str | None = None,
-) -> ServingSuite:
-    """Run every section and optionally write ``BENCH_serving.json``."""
-    if smoke is None:
-        smoke = is_smoke_mode()
+) -> BenchResult:
+    """Run every section and optionally write ``BENCH_serving.json``.
+
+    ``rounds=None`` takes one round in smoke mode and five in full.
+    """
+    smoke = resolve_smoke(smoke)
     if rounds is None:
         rounds = 1 if smoke else 5
-    if dataset is None:
-        from repro.simulation import default_corpus
-
-        dataset = default_corpus().dataset
-    if smoke:
-        dataset = _smoke_dataset(dataset)
+    dataset = resolve_dataset(dataset, smoke=smoke)
 
     with tempfile.TemporaryDirectory(prefix="repro-serving-bench-") as tmp:
         root = Path(tmp) / "archive"
@@ -349,8 +343,6 @@ def run_serving_suite(
         )
 
         results = {
-            "schema": 1,
-            "mode": "smoke" if smoke else "full",
             "providers": len(probe_engine.providers),
             "snapshots": sum(
                 len(timeline) for timeline in probe_engine.index.timelines.values()
@@ -361,8 +353,4 @@ def run_serving_suite(
             "warm": warm,
             "daemon": daemon,
         }
-
-    output_path = Path(output) if output is not None else None
-    if output_path is not None:
-        output_path.write_text(json.dumps(results, indent=2) + "\n")
-    return ServingSuite(results=results, output_path=output_path)
+    return SUITE.finish(results, smoke=smoke, output=output)

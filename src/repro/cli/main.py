@@ -45,6 +45,7 @@ import json
 import sys
 from datetime import date
 from pathlib import Path
+from typing import NamedTuple
 
 from repro.analysis import (
     cluster_families,
@@ -92,7 +93,10 @@ def main(argv: list[str] | None = None) -> int:
     if args.command is None:
         parser.print_help()
         return 1
-    handler = globals()[f"_cmd_{args.command.replace('-', '_')}"]
+    if hasattr(args, "bench_command"):
+        handler = _cmd_bench
+    else:
+        handler = globals()[f"_cmd_{args.command.replace('-', '_')}"]
     try:
         result = _run_with_telemetry(handler, args)
     except (ArchiveError, CollectionError, ObservabilityError, StoreError, ValidationError) as exc:
@@ -292,49 +296,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="per-request batch deadline budget; slots past it answer a "
         "typed error instead of stalling the batch (default: 0 = none)",
     )
-    bench = sub.add_parser(
-        "bench",
-        help="time the hot paths (distance matrix, MDS, interning, scraping) "
-        "and write a perf-regression baseline",
-    )
-    bench.add_argument(
-        "--output", type=Path, default=Path("BENCH_ordination.json"), metavar="PATH",
-        help="where to write the JSON baseline (default: BENCH_ordination.json)",
-    )
-    bench.add_argument(
-        "--smoke", action="store_true",
-        help="tiny dataset, one round (also via REPRO_BENCH_SMOKE=1)",
-    )
-    bench.add_argument(
-        "--workers", type=int, default=4, metavar="N",
-        help="thread-pool width for the parallel-scrape section",
-    )
-    bench.add_argument(
-        "--rounds", type=int, default=1, metavar="R",
-        help="rounds per measurement (best-of-R is reported)",
-    )
-    bench_scale = sub.add_parser(
-        "bench-scale",
-        help="population-scale benchmarks: synthesize + ingest a ≥5k-snapshot "
-        "corpus, tiled-vs-one-tile distance equivalence and memory, "
-        "landmark MDS vs full SMACOF (BENCH_scale.json)",
-    )
-    bench_scale.add_argument(
-        "--output", type=Path, default=Path("BENCH_scale.json"), metavar="PATH",
-        help="where to write the JSON baseline (default: BENCH_scale.json)",
-    )
-    bench_scale.add_argument(
-        "--smoke", action="store_true",
-        help="tiny population, cheap sections (also via REPRO_BENCH_SMOKE=1)",
-    )
-    bench_scale.add_argument(
-        "--providers", type=int, default=None, metavar="N",
-        help="synthetic-provider count override (default: 3 smoke / 260 full)",
-    )
-    bench_scale.add_argument(
-        "--landmarks", type=int, default=None, metavar="K",
-        help="landmark count for the MDS comparison (default: 8 smoke / 96 full)",
-    )
+    _add_bench_parsers(sub, None)
     _add_archive_parser(sub)
     _add_scenario_parser(sub)
     obs = sub.add_parser(
@@ -373,6 +335,109 @@ def _add_metrics_out_flags(parser: argparse.ArgumentParser) -> None:
                 continue
             seen.add(id(child))
             _add_metrics_out_flags(child)
+
+
+class _BenchCommand(NamedTuple):
+    """One bench subcommand; its extra flags' names are the runner's keywords."""
+
+    parent: str | None  # the command group it sits under, or top level
+    name: str
+    help: str
+    title: str
+    runner: str  # a ``run_*_suite`` function of :mod:`repro.bench`
+    output: str
+    flags: tuple[tuple[str, dict], ...]
+
+
+_ROUNDS = (
+    "--rounds",
+    {"type": int, "default": 1, "metavar": "R",
+     "help": "rounds per measurement (best-of-R is reported)"},
+)
+
+_BENCH_COMMANDS = (
+    _BenchCommand(
+        None, "bench",
+        "time the hot paths (distance matrix, MDS, interning, scraping) "
+        "and write a perf-regression baseline",
+        "Perf-regression harness", "run_perf_suite", "BENCH_ordination.json",
+        (
+            ("--workers", {"type": int, "default": 4, "metavar": "N",
+                           "help": "thread-pool width for the parallel-scrape section"}),
+            _ROUNDS,
+        ),
+    ),
+    _BenchCommand(
+        None, "bench-scale",
+        "population-scale benchmarks: synthesize + ingest a ≥5k-snapshot "
+        "corpus, tiled-vs-one-tile distance equivalence and memory, "
+        "landmark MDS vs full SMACOF (BENCH_scale.json)",
+        "Scale harness", "run_scale_suite", "BENCH_scale.json",
+        (
+            ("--providers", {"type": int, "default": None, "metavar": "N",
+                             "help": "synthetic-provider count override "
+                             "(default: 3 smoke / 260 full)"}),
+            ("--landmarks", {"type": int, "default": None, "metavar": "K",
+                             "help": "landmark count for the MDS comparison "
+                             "(default: 8 smoke / 96 full)"}),
+        ),
+    ),
+    _BenchCommand(
+        "archive", "bench", "archive ingest/read benchmarks (BENCH_archive.json)",
+        "Archive benchmark", "run_archive_suite", "BENCH_archive.json", (_ROUNDS,),
+    ),
+    _BenchCommand(
+        "archive", "bench-ingest",
+        "incremental vs. full ingest benchmarks (BENCH_ingest.json)",
+        "Incremental-ingest benchmark", "run_ingest_suite", "BENCH_ingest.json",
+        (_ROUNDS,),
+    ),
+    _BenchCommand(
+        "archive", "bench-serving",
+        "binary-index cold start + daemon latency benchmarks (BENCH_serving.json)",
+        "Serving-layer benchmark", "run_serving_suite", "BENCH_serving.json",
+        (
+            ("--rounds", {"type": int, "default": None, "metavar": "R",
+                          "help": "rounds per cold-start measurement "
+                          "(best-of-R is reported)"}),
+            ("--workers", {"type": int, "default": 2, "metavar": "N",
+                           "help": "pre-forked daemon workers for the load "
+                           "section (default: 2)"}),
+        ),
+    ),
+    _BenchCommand(
+        "archive", "bench-robustness",
+        "crash/recovery robustness benchmarks (BENCH_robustness.json)",
+        "Robustness harness", "run_robustness_suite", "BENCH_robustness.json",
+        (_ROUNDS,),
+    ),
+    _BenchCommand(
+        "scenario", "bench",
+        "scenario-engine benchmarks: pool speedup + cache speedup "
+        "(BENCH_scenario.json)",
+        "Scenario-engine benchmark", "run_scenario_suite", "BENCH_scenario.json",
+        (_ROUNDS,),
+    ),
+)
+
+
+def _add_bench_parsers(sub, parent: str | None) -> None:
+    """Add the bench subcommands that sit under ``parent`` to ``sub``."""
+    for command in _BENCH_COMMANDS:
+        if command.parent != parent:
+            continue
+        bench = sub.add_parser(command.name, help=command.help)
+        bench.add_argument(
+            "--output", type=Path, default=Path(command.output), metavar="PATH",
+            help=f"where to write the JSON baseline (default: {command.output})",
+        )
+        bench.add_argument(
+            "--smoke", action="store_true",
+            help="tiny inputs, correctness gates only (also via REPRO_BENCH_SMOKE=1)",
+        )
+        for flag, options in command.flags:
+            bench.add_argument(flag, **options)
+        bench.set_defaults(bench_command=command)
 
 
 def _add_archive_parser(sub) -> None:
@@ -447,77 +512,7 @@ def _add_archive_parser(sub) -> None:
         help="break the writer lock even if its holder appears alive",
     )
 
-    bench = asub.add_parser(
-        "bench", help="archive ingest/read benchmarks (BENCH_archive.json)"
-    )
-    bench.add_argument(
-        "--output", type=Path, default=Path("BENCH_archive.json"), metavar="PATH",
-        help="where to write the JSON baseline (default: BENCH_archive.json)",
-    )
-    bench.add_argument(
-        "--smoke", action="store_true",
-        help="tiny dataset, one round (also via REPRO_BENCH_SMOKE=1)",
-    )
-    bench.add_argument(
-        "--rounds", type=int, default=1, metavar="R",
-        help="rounds per measurement (best-of-R is reported)",
-    )
-
-    ingest_bench = asub.add_parser(
-        "bench-ingest",
-        help="incremental vs. full ingest benchmarks (BENCH_ingest.json)",
-    )
-    ingest_bench.add_argument(
-        "--output", type=Path, default=Path("BENCH_ingest.json"), metavar="PATH",
-        help="where to write the JSON baseline (default: BENCH_ingest.json)",
-    )
-    ingest_bench.add_argument(
-        "--smoke", action="store_true",
-        help="tiny dataset, one round (also via REPRO_BENCH_SMOKE=1)",
-    )
-    ingest_bench.add_argument(
-        "--rounds", type=int, default=1, metavar="R",
-        help="rounds per measurement (best-of-R is reported)",
-    )
-
-    serving_bench = asub.add_parser(
-        "bench-serving",
-        help="binary-index cold start + daemon latency benchmarks "
-        "(BENCH_serving.json)",
-    )
-    serving_bench.add_argument(
-        "--output", type=Path, default=Path("BENCH_serving.json"), metavar="PATH",
-        help="where to write the JSON baseline (default: BENCH_serving.json)",
-    )
-    serving_bench.add_argument(
-        "--smoke", action="store_true",
-        help="tiny dataset, one round (also via REPRO_BENCH_SMOKE=1)",
-    )
-    serving_bench.add_argument(
-        "--rounds", type=int, default=None, metavar="R",
-        help="rounds per cold-start measurement (best-of-R is reported)",
-    )
-    serving_bench.add_argument(
-        "--workers", type=int, default=2, metavar="N",
-        help="pre-forked daemon workers for the load section (default: 2)",
-    )
-
-    robustness = asub.add_parser(
-        "bench-robustness",
-        help="crash/recovery robustness benchmarks (BENCH_robustness.json)",
-    )
-    robustness.add_argument(
-        "--output", type=Path, default=Path("BENCH_robustness.json"), metavar="PATH",
-        help="where to write the JSON baseline (default: BENCH_robustness.json)",
-    )
-    robustness.add_argument(
-        "--smoke", action="store_true",
-        help="tiny dataset, one round (also via REPRO_BENCH_SMOKE=1)",
-    )
-    robustness.add_argument(
-        "--rounds", type=int, default=1, metavar="R",
-        help="rounds per measurement (best-of-R is reported)",
-    )
+    _add_bench_parsers(asub, "archive")
 
 
 def _add_scenario_parser(sub) -> None:
@@ -610,23 +605,7 @@ def _add_scenario_parser(sub) -> None:
         help="also print the per-cell verdict table",
     )
 
-    bench = ssub.add_parser(
-        "bench",
-        help="scenario-engine benchmarks: pool speedup + cache speedup "
-        "(BENCH_scenario.json)",
-    )
-    bench.add_argument(
-        "--output", type=Path, default=Path("BENCH_scenario.json"), metavar="PATH",
-        help="where to write the JSON baseline (default: BENCH_scenario.json)",
-    )
-    bench.add_argument(
-        "--smoke", action="store_true",
-        help="tiny grid and workload, one round (also via REPRO_BENCH_SMOKE=1)",
-    )
-    bench.add_argument(
-        "--rounds", type=int, default=1, metavar="R",
-        help="rounds per measurement (best-of-R is reported)",
-    )
+    _add_bench_parsers(ssub, "scenario")
 
 
 def _cmd_dataset(_args) -> None:
@@ -1275,63 +1254,6 @@ def _cmd_archive_repair(args) -> int:
     return 0 if verification.ok else 1
 
 
-def _cmd_archive_bench_ingest(args) -> None:
-    from repro.bench import run_ingest_suite
-
-    suite = run_ingest_suite(
-        smoke=True if args.smoke else None,
-        rounds=args.rounds,
-        output=args.output,
-    )
-    print("Incremental-ingest benchmark")
-    for line in suite.summary_lines():
-        print(f"  {line}")
-    print(f"baseline written to {suite.output_path}")
-
-
-def _cmd_archive_bench_serving(args) -> None:
-    from repro.bench import run_serving_suite
-
-    suite = run_serving_suite(
-        smoke=True if args.smoke else None,
-        rounds=args.rounds,
-        workers=args.workers,
-        output=args.output,
-    )
-    print("Serving-layer benchmark")
-    for line in suite.summary_lines():
-        print(f"  {line}")
-    print(f"baseline written to {suite.output_path}")
-
-
-def _cmd_archive_bench_robustness(args) -> None:
-    from repro.bench import run_robustness_suite
-
-    suite = run_robustness_suite(
-        smoke=True if args.smoke else None,
-        rounds=args.rounds,
-        output=args.output,
-    )
-    print("Robustness harness")
-    for line in suite.summary_lines():
-        print(f"  {line}")
-    print(f"baseline written to {suite.output_path}")
-
-
-def _cmd_archive_bench(args) -> None:
-    from repro.bench import run_archive_suite
-
-    suite = run_archive_suite(
-        smoke=True if args.smoke else None,
-        rounds=args.rounds,
-        output=args.output,
-    )
-    print("Archive benchmark")
-    for line in suite.summary_lines():
-        print(f"  {line}")
-    print(f"baseline written to {suite.output_path}")
-
-
 def _cmd_scenario(args) -> int | None:
     handler = globals()[f"_cmd_scenario_{args.scenario_command.replace('-', '_')}"]
     return handler(args)
@@ -1430,45 +1352,15 @@ def _cmd_scenario_report(args) -> None:
     print(f"\n{summarize(run)}")
 
 
-def _cmd_scenario_bench(args) -> None:
-    from repro.bench import run_scenario_suite
-
-    suite = run_scenario_suite(
-        smoke=True if args.smoke else None,
-        rounds=args.rounds,
-        output=args.output,
-    )
-    print("Scenario-engine benchmark")
-    for line in suite.summary_lines():
-        print(f"  {line}")
-    print(f"baseline written to {suite.output_path}")
-
-
 def _cmd_bench(args) -> None:
-    from repro.bench import run_perf_suite
+    import repro.bench
 
-    suite = run_perf_suite(
-        smoke=True if args.smoke else None,
-        workers=args.workers,
-        rounds=args.rounds,
-        output=args.output,
+    command = args.bench_command
+    keywords = {flag[2:]: getattr(args, flag[2:]) for flag, _ in command.flags}
+    suite = getattr(repro.bench, command.runner)(
+        smoke=True if args.smoke else None, output=args.output, **keywords
     )
-    print("Perf-regression harness")
-    for line in suite.summary_lines():
-        print(f"  {line}")
-    print(f"baseline written to {suite.output_path}")
-
-
-def _cmd_bench_scale(args) -> None:
-    from repro.bench import run_scale_suite
-
-    suite = run_scale_suite(
-        smoke=True if args.smoke else None,
-        providers=args.providers,
-        landmarks=args.landmarks,
-        output=args.output,
-    )
-    print("Scale harness")
+    print(command.title)
     for line in suite.summary_lines():
         print(f"  {line}")
     print(f"baseline written to {suite.output_path}")

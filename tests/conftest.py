@@ -10,6 +10,7 @@ from datetime import datetime, timezone
 
 import pytest
 
+from repro.bench.harness import SMOKE_ENV
 from repro.crypto import DeterministicRandom, generate_ec_key, generate_rsa_key, P256
 from repro.simulation import default_corpus
 from repro.x509 import CertificateBuilder, Name
@@ -29,6 +30,12 @@ def dataset(corpus):
 @pytest.fixture(scope="session")
 def slug_fingerprints(corpus):
     return {spec.slug: corpus.fingerprint(spec.slug) for spec in corpus.specs}
+
+
+@pytest.fixture
+def smoke_env(monkeypatch):
+    """Select the bench suites' smoke configuration for one test."""
+    monkeypatch.setenv(SMOKE_ENV, "1")
 
 
 @pytest.fixture(scope="session")

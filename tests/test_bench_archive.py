@@ -3,7 +3,7 @@
 ``REPRO_BENCH_SMOKE=1`` trims :func:`repro.bench.run_archive_suite` to
 a couple of providers and a handful of snapshots; the full-size run —
 and the ≥10x warm-query floor it enforces — lives in
-``benchmarks/bench_perf.py``.  Here the correctness gates still hold
+``benchmarks/bench_suites.py``.  Here the correctness gates still hold
 unconditionally: byte-idempotent re-ingest, identity reconstruction,
 archive/live distance agreement, and a clean ``verify``.
 """
@@ -15,13 +15,7 @@ import json
 import pytest
 
 from repro.bench import run_archive_suite
-from repro.bench.archive import SMOKE_PROVIDERS, SMOKE_SNAPSHOTS_PER_PROVIDER
-from repro.bench.perf import SMOKE_ENV
-
-
-@pytest.fixture
-def smoke_env(monkeypatch):
-    monkeypatch.setenv(SMOKE_ENV, "1")
+from repro.bench.harness import SMOKE_ENV, SMOKE_PROVIDERS, SMOKE_SNAPSHOTS_PER_PROVIDER
 
 
 class TestArchiveSmoke:
@@ -36,6 +30,7 @@ class TestArchiveSmoke:
         assert set(results) == {
             "schema",
             "mode",
+            "env",
             "snapshots",
             "providers",
             "ingest",
@@ -47,9 +42,10 @@ class TestArchiveSmoke:
         }
 
         # Correctness gates hold even on the trimmed corpus.
+        assert suite.failures() == []
         assert results["ingest"]["idempotent"] is True
         assert results["reconstruct"]["identical"] is True
-        assert results["distance"]["max_abs_diff"] <= 1e-12
+        assert results["distance"]["max_abs_diff"] == 0.0
         assert results["distance"]["labels_match"] is True
         assert results["verify"]["ok"] is True
 

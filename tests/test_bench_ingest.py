@@ -3,7 +3,7 @@
 ``REPRO_BENCH_SMOKE=1`` trims :func:`repro.bench.run_ingest_suite` to
 the two-provider sub-corpus; the full-size run — and the ≥10x
 delta-vs-full speedup floor it enforces — lives in
-``benchmarks/bench_ingest.py``.  The correctness gates hold
+``benchmarks/bench_suites.py``.  The correctness gates hold
 unconditionally here: the delta-maintained archive must land on the
 same catalog hash and byte-identical persisted index as a from-scratch
 ingest, verify clean, and have ingested exactly one tag per origin.
@@ -13,17 +13,7 @@ from __future__ import annotations
 
 import json
 
-import pytest
-
 from repro.bench import run_ingest_suite
-from repro.bench.ingest import MIN_DELTA_SPEEDUP
-from repro.bench.perf import SMOKE_ENV
-
-
-@pytest.fixture
-def smoke_env(monkeypatch):
-    monkeypatch.setenv(SMOKE_ENV, "1")
-    monkeypatch.setenv("REPRO_ARCHIVE_FSYNC", "0")
 
 
 class TestIngestSmoke:
@@ -36,6 +26,7 @@ class TestIngestSmoke:
         assert set(results) == {
             "schema",
             "mode",
+            "env",
             "origins",
             "full",
             "delta",
@@ -44,6 +35,7 @@ class TestIngestSmoke:
             "correctness",
         }
 
+        assert suite.failures() == []
         correctness = results["correctness"]
         assert correctness["catalog_match"] is True
         assert correctness["index_identical"] is True
@@ -54,7 +46,7 @@ class TestIngestSmoke:
         # Shape sanity: the delta side really was one tag per origin.
         assert results["delta"]["snapshots"] == results["origins"]
         assert results["full"]["snapshots"] > results["origins"]
-        assert results["floor"]["min_speedup"] == MIN_DELTA_SPEEDUP
+        assert results["floor"]["min_speedup"] == 10.0
 
         payload = json.loads(output.read_text())
         assert payload == results

@@ -2,7 +2,7 @@
 
 ``REPRO_BENCH_SMOKE=1`` makes :func:`repro.bench.run_perf_suite` cheap
 enough to run here; the full-size timings (and the speedup floors they
-must clear) live in ``benchmarks/bench_perf.py``.
+must clear) run through ``benchmarks/bench_suites.py``.
 """
 
 from __future__ import annotations
@@ -12,12 +12,8 @@ import json
 import pytest
 
 from repro.bench import is_smoke_mode, run_perf_suite
-from repro.bench.perf import SMOKE_ENV, SMOKE_SNAPSHOTS
-
-
-@pytest.fixture
-def smoke_env(monkeypatch):
-    monkeypatch.setenv(SMOKE_ENV, "1")
+from repro.bench.harness import SMOKE_ENV
+from repro.bench.perf import SMOKE_SNAPSHOTS
 
 
 class TestSmokeMode:
@@ -39,6 +35,7 @@ class TestSmokeMode:
         assert set(results) == {
             "schema",
             "mode",
+            "env",
             "snapshots",
             "distance",
             "mds",
@@ -47,7 +44,8 @@ class TestSmokeMode:
         }
 
         # Correctness gates: vectorized == naive, parallel == serial.
-        assert results["distance"]["max_abs_diff"] <= 1e-12
+        assert suite.failures() == []
+        assert results["distance"]["max_abs_diff"] == 0.0
         assert results["scrape"]["identical"] is True
         # Interning must actually dedup: the dataset repeats roots
         # across snapshots, so occurrences exceed unique DERs.

@@ -3,7 +3,7 @@
 ``REPRO_BENCH_SMOKE=1`` trims :func:`repro.bench.run_robustness_suite`
 to a couple of providers, a handful of snapshots, and one kill-matrix
 cell per write site; the full-size run — and the ≤10% journal-overhead
-budget it enforces — lives in ``benchmarks/bench_robustness.py``.  Here
+budget it enforces — lives in ``benchmarks/bench_suites.py``.  Here
 the correctness gates still hold unconditionally: every kill-matrix
 cell converges back to the undamaged catalog, repair of a damaged
 corpus leaves ``verify`` clean, degraded queries serve the intact
@@ -17,7 +17,7 @@ import json
 import pytest
 
 from repro.bench import run_robustness_suite
-from repro.bench.perf import SMOKE_ENV
+from repro.bench.harness import SMOKE_ENV
 from repro.bench.robustness import DAMAGE_OBJECTS, DAMAGE_TMP_FILES
 
 pytestmark = pytest.mark.chaos  # crashes writers, kills workers
@@ -42,6 +42,7 @@ class TestRobustnessSmoke:
         assert set(results) == {
             "schema",
             "mode",
+            "env",
             "snapshots",
             "providers",
             "overhead",
@@ -50,6 +51,7 @@ class TestRobustnessSmoke:
             "fleet",
         }
 
+        assert suite.failures() == []
         # Every kill-matrix cell crashed, repaired, and converged.
         matrix = results["kill_matrix"]
         assert matrix["cells"] == matrix["sites"] > 0

@@ -3,23 +3,16 @@
 ``REPRO_BENCH_SMOKE=1`` makes :func:`repro.bench.run_scale_suite`
 cheap enough to run here (3 synthetic providers, no base corpus in
 the ingest, trimmed equivalence corpus); the full-size population and
-the floors it must clear live in ``benchmarks/bench_scale.py``.
+the floors it must clear run through ``benchmarks/bench_suites.py``.
 """
 
 from __future__ import annotations
 
 import json
 
-import pytest
-
 from repro.bench import run_scale_suite
-from repro.bench.perf import SMOKE_ENV
+from repro.bench.harness import SMOKE_ENV
 from repro.bench.scale import SMOKE_LANDMARKS, SMOKE_PROVIDERS
-
-
-@pytest.fixture
-def smoke_env(monkeypatch):
-    monkeypatch.setenv(SMOKE_ENV, "1")
 
 
 class TestSmokeMode:
@@ -32,6 +25,7 @@ class TestSmokeMode:
         assert set(results) == {
             "schema",
             "mode",
+            "env",
             "target_snapshots",
             "population",
             "ingest",
@@ -53,6 +47,7 @@ class TestSmokeMode:
 
         # Correctness gates: blocked products are element-wise exact
         # against the dense oracle — zero, not merely small.
+        assert suite.failures() == []
         assert results["equivalence"]["max_abs_diff"] == 0.0
 
         memory = results["memory"]

@@ -3,7 +3,7 @@
 ``REPRO_BENCH_SMOKE=1`` trims :func:`repro.bench.run_scenario_suite` to
 a two-provider, three-date grid with a two-chain workload and a 15 ms
 simulated fetch; the full-size run — and the ≥2x pool / ≥5x warm-cache
-floors it enforces — lives in ``benchmarks/bench_scenario.py``.  The
+floors it enforces — lives in ``benchmarks/bench_suites.py``.  The
 determinism gates hold unconditionally here: serial, parallel, cold,
 and warm sweeps must serialize to byte-identical canonical run JSON
 and the warm sweep must be pure cache hits.
@@ -13,17 +13,7 @@ from __future__ import annotations
 
 import json
 
-import pytest
-
 from repro.bench import run_scenario_suite
-from repro.bench.perf import SMOKE_ENV
-from repro.bench.scenario import MIN_PARALLEL_SPEEDUP, MIN_WARM_SPEEDUP
-
-
-@pytest.fixture
-def smoke_env(monkeypatch):
-    monkeypatch.setenv(SMOKE_ENV, "1")
-    monkeypatch.setenv("REPRO_ARCHIVE_FSYNC", "0")
 
 
 class TestScenarioSmoke:
@@ -36,6 +26,7 @@ class TestScenarioSmoke:
         assert set(results) == {
             "schema",
             "mode",
+            "env",
             "grid",
             "serial",
             "parallel",
@@ -45,6 +36,7 @@ class TestScenarioSmoke:
             "correctness",
         }
 
+        assert suite.failures() == []
         correctness = results["correctness"]
         assert correctness["serial_parallel_identical"] is True
         assert correctness["cold_warm_identical"] is True
@@ -58,8 +50,8 @@ class TestScenarioSmoke:
         assert grid["cells"] == len(grid["providers"]) * len(grid["dates"])
         assert results["warm"]["cache_hits"] == grid["cells"]
         assert results["cold"]["cache_misses"] == grid["cells"]
-        assert results["floor"]["min_parallel_speedup"] == MIN_PARALLEL_SPEEDUP
-        assert results["floor"]["min_warm_speedup"] == MIN_WARM_SPEEDUP
+        assert results["floor"]["min_parallel_speedup"] == 2.0
+        assert results["floor"]["min_warm_speedup"] == 5.0
 
         payload = json.loads(output.read_text())
         assert payload == results

@@ -4,7 +4,7 @@
 the two-provider sub-corpus and a short concurrency ladder; the
 full-size run — and the committed floors (≥ 10x binary-index cold
 start, daemon p50 within 5x of warm in-process) — lives in
-``benchmarks/bench_serving.py``.  The correctness gates hold
+``benchmarks/bench_suites.py``.  The correctness gates hold
 unconditionally here: the mmap-backed index must answer element-wise
 identically to the JSON path on every probe, and the ladder must
 report p50/p99 at ≥ 3 concurrency levels.
@@ -14,17 +14,8 @@ from __future__ import annotations
 
 import json
 
-import pytest
-
 from repro.bench import run_serving_suite
-from repro.bench.perf import SMOKE_ENV
-from repro.bench.serving import CONCURRENCY_LEVELS, MAX_DAEMON_OVERHEAD, MIN_COLD_SPEEDUP
-
-
-@pytest.fixture
-def smoke_env(monkeypatch):
-    monkeypatch.setenv(SMOKE_ENV, "1")
-    monkeypatch.setenv("REPRO_ARCHIVE_FSYNC", "0")
+from repro.bench.serving import CONCURRENCY_LEVELS
 
 
 class TestServingSmoke:
@@ -37,6 +28,7 @@ class TestServingSmoke:
         assert set(results) == {
             "schema",
             "mode",
+            "env",
             "providers",
             "snapshots",
             "fingerprints",
@@ -48,6 +40,7 @@ class TestServingSmoke:
 
         # Correctness gates hold in every mode: the mapped trust.bin is
         # the index rebuilt from manifests, through every query surface.
+        assert suite.failures() == []
         equivalence = results["equivalence"]
         assert equivalence["index_identical"] is True
         assert equivalence["trusted_on_identical"] is True
@@ -66,10 +59,8 @@ class TestServingSmoke:
             assert level["p99_ms"] >= level["p50_ms"]
             assert level["requests"] > 0
 
-        assert results["cold_start"]["floor"]["min_speedup"] == MIN_COLD_SPEEDUP
-        assert (
-            results["daemon"]["overhead"]["floor"]["max_ratio"] == MAX_DAEMON_OVERHEAD
-        )
+        assert results["cold_start"]["floor"]["min_speedup"] == 10.0
+        assert results["daemon"]["overhead"]["floor"]["max_ratio"] == 5.0
         assert results["daemon"]["startup_s"] > 0
 
         payload = json.loads(output.read_text())

@@ -1,5 +1,8 @@
 """Smoke tests for every CLI subcommand."""
 
+from pathlib import Path
+from types import SimpleNamespace
+
 import pytest
 
 from repro.cli.main import main
@@ -239,7 +242,7 @@ class TestObs:
     def test_bench_smoke_feeds_obs_report(self, tmp_path, capsys, monkeypatch):
         """The REPRO_BENCH_SMOKE=1 path ends in ``obs report``: bench
         sections land in the shared registry and render from the dump."""
-        from repro.bench.perf import SMOKE_ENV
+        from repro.bench.harness import SMOKE_ENV
 
         monkeypatch.setenv(SMOKE_ENV, "1")
         metrics = tmp_path / "bench-metrics.json"
@@ -254,6 +257,73 @@ class TestObs:
         for section in ("distance_naive", "distance_vectorized", "mds_smacof"):
             assert section in out
         assert "Analysis stages" in out  # instrumented stages fired too
+
+
+#: (argv, runner, printed title, explicit extra flags, defaults the
+#: runner receives when no flag is given).
+BENCH_ROUTES = [
+    (["bench"], "run_perf_suite", "Perf-regression harness",
+     {"workers": 3, "rounds": 2},
+     {"workers": 4, "rounds": 1, "output": Path("BENCH_ordination.json")}),
+    (["bench-scale"], "run_scale_suite", "Scale harness",
+     {"providers": 5, "landmarks": 7},
+     {"providers": None, "landmarks": None, "output": Path("BENCH_scale.json")}),
+    (["archive", "bench"], "run_archive_suite", "Archive benchmark",
+     {"rounds": 2}, {"rounds": 1, "output": Path("BENCH_archive.json")}),
+    (["archive", "bench-ingest"], "run_ingest_suite", "Incremental-ingest benchmark",
+     {"rounds": 3}, {"rounds": 1, "output": Path("BENCH_ingest.json")}),
+    (["archive", "bench-serving"], "run_serving_suite", "Serving-layer benchmark",
+     {"rounds": 4, "workers": 3},
+     {"rounds": None, "workers": 2, "output": Path("BENCH_serving.json")}),
+    (["archive", "bench-robustness"], "run_robustness_suite", "Robustness harness",
+     {"rounds": 2}, {"rounds": 1, "output": Path("BENCH_robustness.json")}),
+    (["scenario", "bench"], "run_scenario_suite", "Scenario-engine benchmark",
+     {"rounds": 2}, {"rounds": 1, "output": Path("BENCH_scenario.json")}),
+]
+
+
+class TestBenchRouting:
+    """Each bench subcommand reaches its own suite with its own flags.
+
+    The runners are stubbed: running the suites for real is what the
+    ``test_bench_*`` smoke tests do.
+    """
+
+    @pytest.mark.parametrize(
+        "argv, runner, title, explicit, defaults",
+        BENCH_ROUTES,
+        ids=[" ".join(route[0]) for route in BENCH_ROUTES],
+    )
+    def test_routes_flags_and_title(
+        self, monkeypatch, tmp_path, capsys, argv, runner, title, explicit, defaults
+    ):
+        import repro.bench
+
+        calls = []
+
+        def stub_for(name):
+            def stub(**kwargs):
+                calls.append((name, kwargs))
+                return SimpleNamespace(
+                    summary_lines=lambda: ["stub line"], output_path=kwargs["output"]
+                )
+
+            return stub
+
+        for name in repro.bench.__all__:
+            if name.startswith("run_"):
+                monkeypatch.setattr(repro.bench, name, stub_for(name))
+
+        output = tmp_path / "out.json"
+        flags = [arg for key, value in explicit.items() for arg in (f"--{key}", str(value))]
+        assert main([*argv, "--smoke", "--output", str(output), *flags]) == 0
+        assert calls == [(runner, {"smoke": True, "output": output, **explicit})]
+        out = capsys.readouterr().out
+        assert out.splitlines() == [title, "  stub line", f"baseline written to {output}"]
+
+        calls.clear()
+        assert main(argv) == 0
+        assert calls == [(runner, {"smoke": None, **defaults})]
 
 
 class TestErrorExits:

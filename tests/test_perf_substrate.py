@@ -1,7 +1,7 @@
 """The perf substrate: snapshot indexes, memoization, intern pool.
 
 These are behavioral guarantees, not timings — the timings live in
-``benchmarks/bench_perf.py`` and the ``repro-roots bench`` harness.
+the ``repro-roots bench`` harness (``repro.bench.perf``).
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import repro.archive.ingest as ingest
 from repro.archive import Archive, ingest_dataset
-from repro.bench.archive import _smoke_dataset
+from repro.bench.harness import smoke_dataset
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -88,7 +88,7 @@ def test_commit_calls_the_traced_names(dataset, tmp_path, monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(ingest, name, traced)
-    small = _smoke_dataset(dataset)
+    small = smoke_dataset(dataset)
     archive = Archive(tmp_path / "archive", create=True)
     ingest_dataset(archive, small, providers=small.providers[:1])
     assert calls == ["load_index"]

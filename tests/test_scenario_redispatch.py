@@ -177,6 +177,24 @@ class TestResultCacheSelfHeal:
         assert cache.get(key) == {"value": 7}
         assert not (tmp_path / QUARANTINE_DIR).exists()
 
+    def test_no_byte_flip_reads_as_a_different_value(self, tmp_path):
+        """Flip every byte of a stored entry, one at a time, with several
+        masks: each read returns the value that was put or a miss."""
+        cache = ResultCache(tmp_path, "scenario")
+        key = cache_key({"cell": "flip"})
+        value = {"affected": 12, "chains": {"a": True, "b": False}, "label": "x1"}
+        cache.put(key, value)
+        path = tmp_path / CACHE_DIR / "scenario" / key[:2] / f"{key}.json"
+        stored = path.read_bytes()
+        for offset in range(len(stored)):
+            for mask in (0x01, 0x05, 0x80, 0xFF):
+                damaged = bytearray(stored)
+                damaged[offset] ^= mask
+                path.write_bytes(bytes(damaged))
+                assert cache.get(key) in (None, value), (offset, mask)
+        path.write_bytes(stored)
+        assert cache.get(key) == value
+
     def test_quarantined_names_do_not_collide_across_namespaces(self, tmp_path):
         # Two namespaces can quarantine entries independently; each
         # lands under its own directory.

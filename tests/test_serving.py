@@ -53,7 +53,7 @@ from repro.archive.binindex import (
     binary_index_path,
 )
 from repro.archive.repair import QUARANTINE_DIR
-from repro.bench.archive import _smoke_dataset
+from repro.bench.harness import smoke_dataset
 from repro.collection.faults import SimulatedClock
 from repro.collection.watch import Watcher, build_watch_world
 from repro.errors import ArchiveError, ArchiveStaleError
@@ -75,7 +75,7 @@ def _no_fsync(monkeypatch):
 
 @pytest.fixture(scope="module")
 def small_dataset(dataset):
-    return _smoke_dataset(dataset)
+    return smoke_dataset(dataset)
 
 
 @pytest.fixture(scope="module")

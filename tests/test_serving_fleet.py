@@ -33,7 +33,7 @@ import time
 import pytest
 
 from repro.archive import Archive, ArchiveQuery, ingest_dataset, load_index
-from repro.bench.archive import _smoke_dataset
+from repro.bench.harness import smoke_dataset
 from repro.errors import ArchiveError
 from repro.serving import (
     FleetState,
@@ -68,7 +68,7 @@ def served_archive(dataset, tmp_path_factory):
     root = tmp_path_factory.mktemp("fleet") / "archive"
     os.environ.setdefault("REPRO_ARCHIVE_FSYNC", "0")
     archive = Archive(root, create=True)
-    ingest_dataset(archive, _smoke_dataset(dataset))
+    ingest_dataset(archive, smoke_dataset(dataset))
     load_index(archive)
     return root
 

@@ -131,7 +131,7 @@ class TestPopulationSynthesis:
 
     def test_spec_for_snapshot_target_clears_target(self, corpus):
         # Keep the in-test target modest; the full 5k floor is enforced
-        # by benchmarks/bench_scale.py against BENCH_scale.json.
+        # by the scale suite's floor table (repro.bench.scale).
         target = 300
         spec = spec_for_snapshot_target(target)
         capped = PopulationSpec(providers=min(spec.providers, 20), seed=spec.seed)

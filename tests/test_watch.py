@@ -27,7 +27,7 @@ from repro.archive import (
     record_sites,
     verify_archive,
 )
-from repro.bench.archive import _smoke_dataset
+from repro.bench.harness import smoke_dataset
 from repro.collection import FaultPlan, FlakyOrigin
 from repro.collection.breaker import BreakerPolicy, CircuitBreaker
 from repro.collection.retry import RetryPolicy, SimulatedClock
@@ -54,7 +54,7 @@ def _no_fsync(monkeypatch):
 @pytest.fixture(scope="module")
 def small_dataset(dataset):
     """The bench smoke sub-corpus: 2 providers, 6 snapshots each."""
-    return _smoke_dataset(dataset)
+    return smoke_dataset(dataset)
 
 
 def _fast_policy(**overrides) -> WatchPolicy:
