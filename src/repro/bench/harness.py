@@ -68,14 +68,14 @@ def smoke_dataset(
     return trimmed
 
 
-def resolve_dataset(dataset: Dataset | None, *, smoke: bool, trim: bool = True) -> Dataset:
+def resolve_dataset(dataset: Dataset | None, *, smoke: bool) -> Dataset:
     """The dataset a suite measures: the default corpus unless given,
-    cut to :func:`smoke_dataset` in smoke mode when ``trim``."""
+    cut to :func:`smoke_dataset` in smoke mode."""
     if dataset is None:
         from repro.simulation import default_corpus
 
         dataset = default_corpus().dataset
-    return smoke_dataset(dataset) if smoke and trim else dataset
+    return smoke_dataset(dataset) if smoke else dataset
 
 
 def timed(
@@ -239,15 +239,26 @@ def environment() -> dict:
 
 
 def _git_sha() -> str | None:
-    """The checkout's ``HEAD`` commit, or ``None`` outside a checkout."""
+    """The checkout's ``HEAD`` commit, or ``None`` outside a checkout.
+
+    The sha gains a ``-dirty`` suffix when the ``repro`` package source
+    differs from ``HEAD`` (modified, staged or untracked files), so a
+    record made from uncommitted code is never attributed to the commit
+    it started from.
+    """
+    package = Path(__file__).resolve().parent.parent
     try:
-        done = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=Path(__file__).resolve().parent,
-            capture_output=True,
-            text=True,
-            check=True,
-        )
+        sha = _git(package, "rev-parse", "HEAD")
+        changed = _git(package, "status", "--porcelain", "--", ".")
     except (OSError, subprocess.CalledProcessError):
         return None
-    return done.stdout.strip() or None
+    if not sha:
+        return None
+    return f"{sha}-dirty" if changed else sha
+
+
+def _git(cwd: Path, *args: str) -> str:
+    done = subprocess.run(
+        ["git", *args], cwd=cwd, capture_output=True, text=True, check=True
+    )
+    return done.stdout.strip()

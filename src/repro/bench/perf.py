@@ -269,7 +269,7 @@ def run_perf_suite(
     visits one provider in the scrape section.
     """
     smoke = resolve_smoke(smoke)
-    dataset = resolve_dataset(dataset, smoke=smoke, trim=False)
+    dataset = resolve_dataset(dataset, smoke=False)
     snapshots = collect_snapshots(dataset)
     providers = list(dataset.providers)
     if smoke:

@@ -71,8 +71,10 @@ from repro.x509.extensions import ExtendedKeyUsage, SubjectAltName
 from repro.x509.name import Name
 from repro.asn1.oid import EKU_SERVER_AUTH
 
-#: Bumped whenever cell semantics change; part of every cache key.
-ENGINE_VERSION = 1
+#: Bumped whenever cell semantics or the cache entry format change;
+#: part of every cache key, so entries of an older format are never
+#: read (2: entries carry a payload checksum line).
+ENGINE_VERSION = 2
 
 #: Chains that cannot be evaluated because no snapshot is in force.
 NO_SNAPSHOT = "no-snapshot"

@@ -11,6 +11,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,7 @@ from repro.bench import (
     scenario,
     serving,
 )
+from repro.bench import harness
 from repro.bench.harness import BenchResult, Gate
 
 REPO = Path(__file__).resolve().parents[1]
@@ -140,3 +142,21 @@ def test_finish_writes_what_it_returns(tmp_path):
     assert result.results["floor"] == {"min_speedup": 10.0, "met": True}
     assert json.loads(output.read_text()) == result.results
     assert result.output_path == output
+
+
+@pytest.mark.parametrize(
+    "status, expected",
+    [("", "0123abc"), (" M src/repro/bench/harness.py", "0123abc-dirty")],
+)
+def test_git_sha_marks_uncommitted_package_source(monkeypatch, status, expected):
+    answers = {"rev-parse": "0123abc", "status": status}
+    monkeypatch.setattr(harness, "_git", lambda cwd, command, *args: answers[command])
+    assert harness.environment()["git_sha"] == expected
+
+
+def test_git_sha_is_null_outside_a_checkout(monkeypatch):
+    def no_checkout(cwd, *args):
+        raise subprocess.CalledProcessError(128, ["git", *args])
+
+    monkeypatch.setattr(harness, "_git", no_checkout)
+    assert harness.environment()["git_sha"] is None

@@ -17,6 +17,7 @@ recompute's ``put`` rewrites clean bytes.
 
 from __future__ import annotations
 
+import json
 from datetime import date
 
 import pytest
@@ -27,6 +28,7 @@ from repro.archive.repair import QUARANTINE_DIR
 from repro.errors import ScenarioPoolError, ValidationError
 from repro.obs import telemetry_session
 from repro.scenario import PoolChaos, ScenarioEngine, run_to_json
+from repro.scenario import engine as engine_module
 from repro.scenario.model import ChainSpec, Scenario
 
 PROVIDERS = ("microsoft", "nss")
@@ -194,6 +196,34 @@ class TestResultCacheSelfHeal:
                 assert cache.get(key) in (None, value), (offset, mask)
         path.write_bytes(stored)
         assert cache.get(key) == value
+
+    def test_old_format_entries_are_not_counted_as_heals(
+        self, corpus, scenario, tmp_path, monkeypatch
+    ):
+        """A cache filled before entries carried a checksum line is never
+        addressed, so upgrading neither quarantines it nor counts heals."""
+        archive = Archive(tmp_path / "archive", create=True)
+        ingest_dataset(archive, corpus.dataset, providers=PROVIDERS)
+        cache = ResultCache(archive.root, ScenarioEngine.CACHE_NAMESPACE)
+
+        def put_without_checksum(self, key, value):
+            path = self._path(key)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(json.dumps(value, sort_keys=True))
+
+        with monkeypatch.context() as old:
+            old.setattr(engine_module, "ENGINE_VERSION", 1)
+            old.setattr(ResultCache, "put", put_without_checksum)
+            before = ScenarioEngine(archive, corpus=corpus).run(scenario)
+        assert len(cache) == len(PROVIDERS) * len(DATES)
+
+        with telemetry_session() as telemetry:
+            after = ScenarioEngine(archive, corpus=corpus).run(scenario)
+            names = {family["name"] for family in telemetry.registry.to_dict()}
+        assert "repro_archive_cache_heal_total" not in names
+        assert not (archive.root / QUARANTINE_DIR / CACHE_DIR).exists()
+        assert run_to_json(after) == run_to_json(before)
+        assert len(cache) == 2 * len(PROVIDERS) * len(DATES)
 
     def test_quarantined_names_do_not_collide_across_namespaces(self, tmp_path):
         # Two namespaces can quarantine entries independently; each
